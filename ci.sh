@@ -18,6 +18,9 @@ cargo clippy --workspace --all-targets --offline --features faultsim -- -D warni
 echo "==> cargo clippy --features alloc-profile (deny warnings)"
 cargo clippy --workspace --all-targets --offline --features alloc-profile -- -D warnings
 
+echo "==> benchmark package compiles against the workspace crates"
+CARGO_TARGET_DIR=.bench_build cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> warm-store smoke (STP_JOBS=1): warm an NPN4 slice, save, reload, zero misses"
 STP_JOBS=1 cargo test -q -p stp-bench --offline --test warm_store smoke_warm_slice
 

@@ -7,7 +7,8 @@
 //! per instance) over four workloads — the deterministic NPN4 24-class
 //! slice used by the CI drift gate, the full 222-class NPN4 suite, the
 //! quick-profile FDSD6 suite, and the 9–12-input WIDE suite that pins
-//! the multi-word fast path — and reports per-suite wall-clock
+//! the split kernel's four-word instance (the NPN4 and FDSD6 suites run
+//! its one-word instance) — and reports per-suite wall-clock
 //! plus the `factor.*` counter deltas. The counter totals at `--jobs 1`
 //! are exact and machine-independent, so the committed
 //! `BENCH_factor.json` doubles as a regression baseline: the
@@ -26,6 +27,7 @@
 
 use std::time::{Duration, Instant};
 
+use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::profdiff::PINNED_COUNTERS;
 use stp_bench::{fdsd, npn4, run_suite, wide, Algorithm, Suite};
 use stp_telemetry::Json;
@@ -60,23 +62,6 @@ fn measure(suite: &Suite, timeout: Duration, jobs: usize) -> Json {
         ("wall_s", Json::Num((wall.as_secs_f64() * 1000.0).round() / 1000.0)),
         ("counters", Json::Obj(counters)),
     ])
-}
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from bench failures (exit 1).
-fn flag_error(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>, expects: &str) -> T {
-    let Some(raw) = value else {
-        flag_error(format!("{flag} expects {expects}"));
-    };
-    raw.parse().unwrap_or_else(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
 }
 
 fn main() {

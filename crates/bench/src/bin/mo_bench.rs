@@ -14,6 +14,7 @@
 
 use std::time::Duration;
 
+use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::mo::{measure_case, measure_rewrite, MO_CASES};
 use stp_telemetry::Json;
 
@@ -59,23 +60,6 @@ fn measure(timeout: Duration, jobs: usize) -> Json {
         ("cases", Json::Arr(cases)),
         ("rewrite", rewrite),
     ])
-}
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from bench failures (exit 1).
-fn flag_error(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>, expects: &str) -> T {
-    let Some(raw) = value else {
-        flag_error(format!("{flag} expects {expects}"));
-    };
-    raw.parse().unwrap_or_else(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
 }
 
 fn main() {

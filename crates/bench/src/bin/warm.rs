@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::RetryPolicy;
 use stp_store::Store;
 use stp_synth::{synthesize_npn_with_store, warm_classes, SynthesisConfig};
@@ -42,22 +43,6 @@ use stp_tt::{canonicalize, random_fdsd, TruthTable};
 
 /// Default sample seed ("WARMFARM" in ASCII, truncated).
 const DEFAULT_SEED: u64 = 0x5741_524d_4641_524d;
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from warm failures (exit 1).
-fn flag_error(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback.
-fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>, expects: &str) -> T {
-    let Some(raw) = value else {
-        flag_error(format!("{flag} expects {expects}"));
-    };
-    raw.parse().unwrap_or_else(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
-}
 
 /// A warm failure (as opposed to a usage error): report and exit 1.
 fn fail(message: String) -> ! {

@@ -9,6 +9,7 @@
 //!   algorithms (BMS, FEN, ABC-like, STP);
 //! * [`report`] — the Table I renderer and the headline
 //!   speedup/timeout-reduction summary.
+//! * [`cli`] — the flag-parsing helpers the binaries share.
 //!
 //! Binaries:
 //!
@@ -28,6 +29,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod harness;
 pub mod mo;
 pub mod profdiff;

@@ -64,9 +64,10 @@ pub fn pdsd(num_vars: usize, count: usize, seed_offset: u64) -> Suite {
 }
 
 /// The wide-spec suite: fully-DSD functions of 9–12 inputs, two per
-/// arity. Their decomposition charts span 8–64 words, so factoring
-/// routes through the multi-word wide path (`factor_split_wide`) for
-/// every split with `|A| + |B| ≤ 8` and `|S| ≤ 8` — the workload the
+/// arity. Their specs span 8–64 words, so factoring routes through the
+/// four-word instance of the split kernel
+/// (`factor_split_words::<4, WIDE_WORDS, WIDE_SHARED>`) for every split
+/// with `|A| + |B| ≤ 8` and `|S| ≤ 8` — the workload the
 /// `BENCH_factor.json` wide row pins.
 pub fn wide() -> Suite {
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0x7769_6465); // "wide"

@@ -35,7 +35,7 @@
 
 mod export;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -503,21 +503,25 @@ fn swap_operands(tt2: u8) -> u8 {
 ///
 /// Gates are deduplicated by `(fanin, fanin, tt2)` after normalizing the
 /// operand order (the lower signal index first, swapping the LUT's
-/// operands to compensate), so structurally equal gates — including
-/// operand-swapped spellings — appear once in the merged chain. Outputs
-/// are concatenated in argument order. The merged gate count is
-/// therefore never larger than the sum of the input gate counts, and
-/// strictly smaller whenever the chains share structure.
+/// operands to compensate), so structurally equal gates of different
+/// chains — including operand-swapped spellings — appear once in the
+/// merged chain. Sharing happens only across chains: a gate that
+/// repeats an earlier gate of its own chain keeps a merged gate of its
+/// own, so a gate reading both copies never has its fanins folded
+/// together. The synthesis engine does return such chains: some of its
+/// 7-gate chains for `7ffe` compute `x1 ⊕ x2` twice. Outputs are
+/// concatenated in argument order. The merged gate count is therefore
+/// never larger than the sum of the input gate counts, and strictly
+/// smaller whenever the chains share structure.
 ///
 /// Gate order is deterministic: first use wins, scanning chains left to
 /// right and gates in topological order.
 ///
 /// # Errors
 ///
-/// Propagates [`ChainError::DuplicateFanin`] when deduplication folds a
-/// gate's two fanins together — possible only when an input chain
-/// already contains structurally duplicate gates (optimum chains never
-/// do).
+/// Propagates a [`ChainError`] from [`Chain::add_gate`]; every merged
+/// gate reads earlier, distinct signals, so valid input chains never
+/// trigger one.
 ///
 /// # Panics
 ///
@@ -531,6 +535,8 @@ pub fn merge_chains(chains: &[&Chain]) -> Result<Chain, ChainError> {
     for chain in chains {
         // map[s] = signal index of chain signal `s` in the merged chain.
         let mut map: Vec<usize> = (0..n).collect();
+        // Keys this chain has already claimed: a repeat gets a new gate.
+        let mut claimed: HashSet<(usize, usize, u8)> = HashSet::new();
         for gate in chain.gates() {
             let mut a = map[gate.fanin[0]];
             let mut b = map[gate.fanin[1]];
@@ -539,11 +545,13 @@ pub fn merge_chains(chains: &[&Chain]) -> Result<Chain, ChainError> {
                 std::mem::swap(&mut a, &mut b);
                 tt2 = swap_operands(tt2);
             }
-            let index = match dedup.get(&(a, b, tt2)) {
-                Some(&i) => i,
+            let key = (a, b, tt2);
+            let shared = if claimed.insert(key) { dedup.get(&key).copied() } else { None };
+            let index = match shared {
+                Some(i) => i,
                 None => {
                     let i = merged.add_gate(a, b, tt2)?;
-                    dedup.insert((a, b, tt2), i);
+                    dedup.entry(key).or_insert(i);
                     i
                 }
             };
@@ -814,6 +822,45 @@ mod tests {
         let want_sum = sum.simulate_outputs().unwrap().remove(0);
         let want_carry = carry.simulate_outputs().unwrap().remove(0);
         assert_eq!(got, vec![want_sum, want_carry]);
+    }
+
+    /// A 7-gate chain the synthesis engine returns for `7ffe`
+    /// (`(x1 ⊕ x2) ∨ (x1 ⊕ x3) ∨ (x1 ⊕ x4)`): x8 and x9 are both
+    /// `x1 ⊕ x2`, and x10 reads both.
+    fn repeated_xor_chain() -> Chain {
+        let mut chain = Chain::new(4);
+        let x5 = chain.add_gate(0, 3, 0x6).unwrap();
+        let x6 = chain.add_gate(0, 2, 0x6).unwrap();
+        let x7 = chain.add_gate(x5, x6, 0xe).unwrap();
+        let x8 = chain.add_gate(0, 1, 0x6).unwrap();
+        let x9 = chain.add_gate(0, 1, 0x6).unwrap();
+        let x10 = chain.add_gate(x8, x9, 0x7).unwrap();
+        let x11 = chain.add_gate(x7, x10, 0xb).unwrap();
+        chain.add_output(OutputRef::signal(x11));
+        chain
+    }
+
+    #[test]
+    fn merge_chains_keeps_a_chains_own_repeated_gates_apart() {
+        let chain = repeated_xor_chain();
+        let want = chain.simulate_outputs().unwrap();
+        assert_eq!(want[0], TruthTable::from_hex(4, "7ffe").unwrap());
+        let merged = merge_chains(&[&chain]).unwrap();
+        assert_eq!(merged.num_gates(), 7);
+        assert_eq!(merged.simulate_outputs().unwrap(), want);
+        // Across chains the repeat is still shared: a second chain's
+        // x1 ⊕ x2 reuses the first copy, so 7 + 1 gates merge into 7.
+        let mut xor = Chain::new(4);
+        let t = xor.add_gate(1, 0, 0x6).unwrap();
+        xor.add_output(OutputRef::signal(t));
+        let merged = merge_chains(&[&chain, &xor]).unwrap();
+        assert_eq!(merged.num_gates(), 7);
+        let mut both = want;
+        both.extend(xor.simulate_outputs().unwrap());
+        assert_eq!(merged.simulate_outputs().unwrap(), both);
+        // With the chain second, its first x1 ⊕ x2 is the shared one.
+        let merged = merge_chains(&[&xor, &chain]).unwrap();
+        assert_eq!(merged.num_gates(), 7);
     }
 
     #[test]

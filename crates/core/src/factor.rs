@@ -28,22 +28,25 @@
 //! shared primary inputs, which is precisely the reach of the paper's
 //! `M_r`/`M_w` calculus.
 //!
-//! # Word-level kernels
+//! # Word-level kernel
 //!
-//! The inner loops run on two representations (see `DESIGN.md`,
-//! *Word-level factorization kernels*). On the **fast path** — spec of
-//! at most [`FAST_MAX_VARS`] inputs, `|A| + |B| ≤ 6` and `|S| ≤ 6` —
-//! the spec is compacted onto the split's variable order with the
-//! `stp-tt` kernel primitives, so every decomposition chart is a
-//! contiguous power-of-two-aligned bit slice, patterns and labellings
-//! are `u64` masks, the two-pattern test and the consistency check are
-//! mask algebra, and candidate operands are scattered word-level into
-//! stack buffers: the split/combination loops never allocate. Larger
-//! splits fall back to the original scalar implementation
-//! ([`Factorizer::factor_split_naive`], also the reference the fuzz
-//! tests pin the kernels against). Both paths enumerate candidates in
-//! the same order and share the same dedup keys, so the produced
-//! chains, their order, and the counters are identical.
+//! The inner loops run on one word-level body,
+//! [`Factorizer::factor_split_words`] (see `DESIGN.md`, *Word-level
+//! factorization kernels*). The spec is compacted onto the split's
+//! variable order with the `stp-tt` kernel primitives, so every
+//! decomposition chart is a contiguous power-of-two-aligned bit field,
+//! patterns and labellings are masks of `L` words, the two-pattern test
+//! and the consistency check are mask algebra, and candidate operands
+//! are scattered word-level into stack buffers: the split/combination
+//! loops never allocate. The body has two instances: one word per chart
+//! for specs of at most [`FAST_MAX_VARS`] inputs with `|A| + |B| ≤ 6`
+//! and `|S| ≤ 6`, four words per chart up to [`WIDE_MAX_VARS`] inputs
+//! with `|A| + |B| ≤ 8` and `|S| ≤ 8`. Larger splits fall back to the
+//! original scalar implementation ([`Factorizer::factor_split_naive`],
+//! also the reference the fuzz tests pin the kernel against). All paths
+//! enumerate candidates in the same order and share the same dedup
+//! key, so the produced chains, their order, and the counters are
+//! identical.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,26 +55,36 @@ use std::time::Instant;
 
 use stp_chain::{Chain, OutputRef};
 use stp_fence::TreeShape;
-use stp_tt::kernel::{self, W4};
+use stp_tt::kernel;
 use stp_tt::TruthTable;
 
 use crate::error::SynthesisError;
 
-/// Specs up to this arity use the single-word fast path (all suite
-/// workloads top out at 8 variables; a table then spans ≤ 4 words and a
-/// chart cell block fits one `u64`).
+/// Specs up to this arity use the one-word instance of
+/// [`Factorizer::factor_split_words`] when the split fits
+/// `|A| + |B| ≤ 6` and `|S| ≤ 6` (all suite workloads top out at 8
+/// variables; a table then spans ≤ [`FAST_WORDS`] words, a chart cell
+/// block fits one `u64`, and the shared-assignment loop stays
+/// ≤ [`FAST_SHARED`] entries).
 const FAST_MAX_VARS: usize = 8;
 
-/// Specs up to this arity use the multi-word wide path when the split
-/// fits `|A| + |B| ≤ 8` and `|S| ≤ 8`: the compact spec spans at most
-/// [`WIDE_WORDS`] words, a chart cell block fits one [`W4`], and the
+/// Packed words of a [`FAST_MAX_VARS`]-input table (`2^8 / 64`).
+const FAST_WORDS: usize = 4;
+
+/// Maximum shared assignments on the one-word instance (`2^6`).
+const FAST_SHARED: usize = 64;
+
+/// Specs up to this arity use the four-word instance of
+/// [`Factorizer::factor_split_words`] when the split fits
+/// `|A| + |B| ≤ 8` and `|S| ≤ 8`: the compact spec spans at most
+/// [`WIDE_WORDS`] words, a chart cell block fits `[u64; 4]`, and the
 /// shared-assignment loop stays ≤ [`WIDE_SHARED`] entries.
 const WIDE_MAX_VARS: usize = 12;
 
 /// Packed words of a [`WIDE_MAX_VARS`]-input table (`2^12 / 64`).
 const WIDE_WORDS: usize = 64;
 
-/// Maximum shared assignments on the wide path (`2^8`).
+/// Maximum shared assignments on the four-word instance (`2^8`).
 const WIDE_SHARED: usize = 256;
 
 /// One deadline poll (`Instant::now()`) per this many checkpoint calls;
@@ -110,7 +123,7 @@ pub struct FactorConfig {
     pub abort: Option<Arc<AtomicBool>>,
     /// Differential-test knob: route every split through the scalar
     /// reference implementation ([`Factorizer::factor_split_naive`])
-    /// instead of the word-level fast/wide paths. The differential
+    /// instead of the word-level kernel. The differential
     /// suites compare a forced-naive engine against the default one;
     /// production callers leave this `false`.
     pub force_naive: bool,
@@ -151,15 +164,17 @@ enum SeenKey {
     Big(u8, Vec<u64>, Vec<u64>),
 }
 
-fn seen_key(g: u8, h1: &TruthTable, h2: &TruthTable) -> SeenKey {
-    if h1.num_vars() <= FAST_MAX_VARS {
+/// The one dedup key of every split path: `f1`/`f2` are the operand
+/// tables' packed words at arity `n`.
+fn seen_key(g: u8, f1: &[u64], f2: &[u64], n: usize) -> SeenKey {
+    if n <= FAST_MAX_VARS {
         let mut w1 = [0u64; 4];
-        w1[..h1.words().len()].copy_from_slice(h1.words());
+        w1[..f1.len()].copy_from_slice(f1);
         let mut w2 = [0u64; 4];
-        w2[..h2.words().len()].copy_from_slice(h2.words());
+        w2[..f2.len()].copy_from_slice(f2);
         SeenKey::Small(g, w1, w2)
     } else {
-        SeenKey::Big(g, h1.words().to_vec(), h2.words().to_vec())
+        SeenKey::Big(g, f1.to_vec(), f2.to_vec())
     }
 }
 
@@ -322,7 +337,8 @@ pub struct Factorizer {
     nodes_explored: u64,
     /// Number of memo-table hits across [`Factorizer::realize`] calls.
     memo_hits: u64,
-    /// Number of decomposition charts materialized (fast or naive path).
+    /// Number of decomposition charts materialized (word-level or naive
+    /// path).
     charts_built: u64,
     /// Sampled nanoseconds spent probing the memo (one probe in
     /// [`PROBE_SAMPLE`] is timed and extrapolated).
@@ -365,7 +381,7 @@ impl Factorizer {
     }
 
     /// Number of decomposition charts built across every split path —
-    /// identical between the fast, wide, and naive routes, so the
+    /// identical between the word-level and naive routes, so the
     /// differential suites pin it as a search-shape fingerprint.
     pub fn charts_built(&self) -> u64 {
         self.charts_built
@@ -558,17 +574,17 @@ impl Factorizer {
             }
             let feasible = na + ns >= 1 && nb + ns >= 1 && na + ns <= l1 && nb + ns <= l2;
             if feasible {
-                // The fast path needs the whole spec in 4 words, chart
-                // cell blocks in one word, and ≤ 64 shared assignments.
-                // The wide path relaxes all three by one W4: spec in 64
-                // words, cell blocks in one `[u64; 4]`, ≤ 256 shared
-                // assignments. Anything larger falls back to the scalar
-                // reference.
+                // The one-word instance needs the whole spec in 4 words,
+                // chart cell blocks in one word, and ≤ 64 shared
+                // assignments. The four-word instance relaxes all three:
+                // spec in 64 words, cell blocks in `[u64; 4]`, ≤ 256
+                // shared assignments. Anything larger falls back to the
+                // scalar reference.
                 let force = self.config.force_naive;
                 let fast = !force && n <= FAST_MAX_VARS && na + nb <= 6 && ns <= 6;
                 let wide = !force && !fast && n <= WIDE_MAX_VARS && na + nb <= 8 && ns <= 8;
                 if fast {
-                    self.factor_split_fast(
+                    self.factor_split_words::<1, FAST_WORDS, FAST_SHARED>(
                         h,
                         &a_vars[..na],
                         &b_vars[..nb],
@@ -580,7 +596,7 @@ impl Factorizer {
                         &mut out,
                     )?;
                 } else if wide {
-                    self.factor_split_wide(
+                    self.factor_split_words::<4, WIDE_WORDS, WIDE_SHARED>(
                         h,
                         &a_vars[..na],
                         &b_vars[..nb],
@@ -628,17 +644,24 @@ impl Factorizer {
     /// Word-level `factor_split`: factors `h = g(h1(A ∪ S), h2(B ∪ S))`
     /// for one fixed split, appending every realization to `out`.
     ///
-    /// Requires `h.num_vars() ≤ 8`, `|A| + |B| ≤ 6` and `|S| ≤ 6` (the
-    /// caller gates on this). Charts, patterns and labellings live in
-    /// `u64` masks and fixed stack buffers — the split and combination
-    /// loops perform no heap allocation; memory is touched only when a
-    /// fresh canonical candidate is materialized for recursion.
+    /// One body, monomorphized per lane count. A chart's cell block is
+    /// `[u64; L]` (`2^(|A|+|B|) ≤ 64·L`), the compact spec and operand
+    /// buffers hold `SPEC_WORDS ≥ words_len(n)` words, and the
+    /// per-shared-assignment arrays hold `SHARED ≥ 2^|S|` entries; the
+    /// caller gates on these bounds. The two instances are
+    /// `<1, FAST_WORDS, FAST_SHARED>` and `<4, WIDE_WORDS, WIDE_SHARED>`:
+    /// the one-word instance keeps small stack buffers, which is what
+    /// keeps it as fast as a dedicated `u64` kernel. Charts, patterns and
+    /// labellings are masks in fixed stack buffers — the split and
+    /// combination loops perform no heap allocation; memory is touched
+    /// only when a fresh canonical candidate is materialized for
+    /// recursion.
     ///
     /// Byte-equal to [`Factorizer::factor_split_naive`] in output,
     /// order, and counter increments (pinned by the differential fuzz
-    /// tests below).
+    /// tests below and the wide-spec bench differential).
     #[allow(clippy::too_many_arguments)]
-    fn factor_split_fast(
+    fn factor_split_words<const L: usize, const SPEC_WORDS: usize, const SHARED: usize>(
         &mut self,
         h: &TruthTable,
         a_vars: &[usize],
@@ -657,64 +680,61 @@ impl Factorizer {
         let cols = 1usize << rb;
         let shared = 1usize << rs;
         let cells = rows * cols;
-        let cell_mask = kernel::low_mask(cells);
-        let rows_mask = kernel::low_mask(rows);
-        let cols_mask = kernel::low_mask(cols);
+        let cells_mask = low_mask::<L>(cells);
+        let rows_mask = low_mask::<L>(rows);
+        let cols_mask = low_mask::<L>(cols);
+        // The complement of a labelling or cell mask within its field.
+        let flip = |x: &[u64; L], mask: &[u64; L]| -> [u64; L] {
+            std::array::from_fn(|w| !x[w] & mask[w])
+        };
 
         // Compact the spec onto `B ++ A ++ S` (row-major charts: cell
         // (r, c) of shared assignment s is bit `c + r·cols + s·cells`)
         // and onto `A ++ B ++ S` (the transposed charts, for column
-        // patterns). Every chart is then a contiguous bit slice that
-        // never straddles a word (cells is a power of two ≤ 64).
+        // patterns). Every chart is then the aligned field `s` of width
+        // `cells`, a power of two.
         let mut order = [0usize; 16];
         order[..rb].copy_from_slice(b_vars);
         order[rb..rb + ra].copy_from_slice(a_vars);
         order[rb + ra..d].copy_from_slice(s_vars);
-        let mut compact_rc = [0u64; 4];
+        let mut compact_rc = [0u64; SPEC_WORDS];
         compact_into(h, &order[..d], &mut compact_rc);
         order[..ra].copy_from_slice(a_vars);
         order[ra..ra + rb].copy_from_slice(b_vars);
-        let mut compact_cr = [0u64; 4];
+        let mut compact_cr = [0u64; SPEC_WORDS];
         compact_into(h, &order[..d], &mut compact_cr);
 
         // Per shared assignment: the chart, the first row/column
         // labelling option (bit i ⇔ axis element i carries the second
         // distinct pattern; the other option is its complement), and
         // the labellings expanded to cell masks.
-        let rep = {
-            let mut rep = 0u64;
-            for r in 0..rows {
-                rep |= 1u64 << (r * cols);
-            }
-            rep
-        };
-        let mut charts = [0u64; 64];
-        let mut row0 = [0u64; 64];
-        let mut col0 = [0u64; 64];
-        let mut rcell0 = [0u64; 64];
-        let mut ccell0 = [0u64; 64];
+        let mut charts = [[0u64; L]; SHARED];
+        let mut row0 = [[0u64; L]; SHARED];
+        let mut col0 = [[0u64; L]; SHARED];
+        let mut rcell0 = [[0u64; L]; SHARED];
+        let mut ccell0 = [[0u64; L]; SHARED];
         for s in 0..shared {
-            let chart = slice64(&compact_rc, s * cells, cell_mask);
-            let chart_t = slice64(&compact_cr, s * cells, cell_mask);
+            let chart = field::<L>(&compact_rc, s, cells);
+            let chart_t = field::<L>(&compact_cr, s, cells);
             self.charts_built += 1;
             // Two unique quartering parts per axis (Examples 5–6).
-            let Some(r0) = two_pattern_mask(chart, rows, cols) else {
+            let Some(r0) = two_pattern_mask(&chart, rows, cols) else {
                 return Ok(());
             };
-            let Some(c0) = two_pattern_mask(chart_t, cols, rows) else {
+            let Some(c0) = two_pattern_mask(&chart_t, cols, rows) else {
                 return Ok(());
             };
             charts[s] = chart;
             row0[s] = r0;
             col0[s] = c0;
-            let mut rc = 0u64;
+            // A labelled row fills its `cols` cells; the column labels
+            // repeat in every row.
             for r in 0..rows {
-                rc |= ((r0 >> r) & 1).wrapping_mul(cols_mask << (r * cols));
+                if r0[r >> 6] >> (r & 63) & 1 == 1 {
+                    or_field(&mut rcell0[s], r, cols, &cols_mask);
+                }
+                or_field(&mut ccell0[s], r, cols, &c0);
             }
-            rcell0[s] = rc;
-            // Column labels replicate across rows: the shifts of c0 by
-            // r·cols are disjoint, so one multiply scatters them all.
-            ccell0[s] = c0.wrapping_mul(rep);
         }
 
         // Split-level support filter: the A-part of the left operand's
@@ -722,9 +742,7 @@ impl Factorizer {
         // assignments (complementing a labelling never changes its
         // support), so a split whose row classes do not jointly cover A
         // can never pass the canonical-split check — likewise for B.
-        if !covers_axis_mask(&row0[..shared], ra, rows)
-            || !covers_axis_mask(&col0[..shared], rb, cols)
-        {
+        if !covers_axis_mask(&row0[..shared], ra) || !covers_axis_mask(&col0[..shared], rb) {
             return Ok(());
         }
 
@@ -752,29 +770,31 @@ impl Factorizer {
         'ops: for &g in &stp_tt::NONTRIVIAL_OPS {
             // Valid (row label, col label) option pairs per shared
             // assignment; option 0 is the stored mask, 1 its complement.
-            let mut pairs = [[(0u8, 0u8); 4]; 64];
-            let mut plen = [0usize; 64];
+            let mut pairs = [[(0u8, 0u8); 4]; SHARED];
+            let mut plen = [0usize; SHARED];
             for s in 0..shared {
-                let rc = rcell0[s];
-                let cc = ccell0[s];
                 let mut np = 0usize;
                 for ri in 0..2u8 {
-                    let r = if ri == 0 { rc } else { !rc & cell_mask };
+                    let r = if ri == 0 { rcell0[s] } else { flip(&rcell0[s], &cells_mask) };
                     for ci in 0..2u8 {
-                        let c = if ci == 0 { cc } else { !cc & cell_mask };
-                        let mut expected = 0u64;
-                        if g & 1 != 0 {
-                            expected |= !r & !c & cell_mask;
-                        }
-                        if g & 2 != 0 {
-                            expected |= r & !c;
-                        }
-                        if g & 4 != 0 {
-                            expected |= !r & c;
-                        }
-                        if g & 8 != 0 {
-                            expected |= r & c;
-                        }
+                        let c = if ci == 0 { ccell0[s] } else { flip(&ccell0[s], &cells_mask) };
+                        let expected: [u64; L] = std::array::from_fn(|w| {
+                            let (r, c) = (r[w], c[w]);
+                            let mut e = 0u64;
+                            if g & 1 != 0 {
+                                e |= !r & !c & cells_mask[w];
+                            }
+                            if g & 2 != 0 {
+                                e |= r & !c;
+                            }
+                            if g & 4 != 0 {
+                                e |= !r & c;
+                            }
+                            if g & 8 != 0 {
+                                e |= r & c;
+                            }
+                            e
+                        });
                         if expected == charts[s] {
                             pairs[s][np] = (ri, ci);
                             np += 1;
@@ -787,19 +807,17 @@ impl Factorizer {
                 plen[s] = np;
             }
             // Depth-first combination over shared assignments.
-            let mut choice = [0usize; 64];
+            let mut choice = [0usize; SHARED];
             'combos: loop {
                 self.check_deadline()?;
-                let mut cbuf1 = [0u64; 4];
-                let mut cbuf2 = [0u64; 4];
+                let mut cbuf1 = [0u64; SPEC_WORDS];
+                let mut cbuf2 = [0u64; SPEC_WORDS];
                 for s in 0..shared {
                     let (ri, ci) = pairs[s][choice[s]];
-                    let rl = if ri == 0 { row0[s] } else { !row0[s] & rows_mask };
-                    let cl = if ci == 0 { col0[s] } else { !col0[s] & cols_mask };
-                    let off1 = s * rows;
-                    cbuf1[off1 >> 6] |= rl << (off1 & 63);
-                    let off2 = s * cols;
-                    cbuf2[off2 >> 6] |= cl << (off2 & 63);
+                    let rl = if ri == 0 { row0[s] } else { flip(&row0[s], &rows_mask) };
+                    let cl = if ci == 0 { col0[s] } else { flip(&col0[s], &cols_mask) };
+                    or_field(&mut cbuf1, s, rows, &rl);
+                    or_field(&mut cbuf2, s, cols, &cl);
                 }
                 // Canonical split: the operands must depend on exactly
                 // their assigned variables (otherwise the same triple is
@@ -808,210 +826,17 @@ impl Factorizer {
                 let canonical = kernel::support_mask(&cbuf1[..kernel::words_len(k1)], k1) == full1
                     && kernel::support_mask(&cbuf2[..kernel::words_len(k2)], k2) == full2;
                 if canonical {
-                    let mut f1 = [0u64; 4];
+                    let mut f1 = [0u64; SPEC_WORDS];
                     expand_with_plan(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
-                    let mut f2 = [0u64; 4];
+                    let mut f2 = [0u64; SPEC_WORDS];
                     expand_with_plan(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
+                    let (f1, f2) = (&f1[..nw], &f2[..nw]);
                     // Mirror dedup for symmetric shapes.
                     let ordered = !symmetric || f1 <= f2;
-                    if ordered && seen_triples.insert(SeenKey::Small(g, f1, f2)) {
-                        let h1 = TruthTable::from_words(n, f1[..nw].to_vec())
+                    if ordered && seen_triples.insert(seen_key(g, f1, f2, n)) {
+                        let h1 = TruthTable::from_words(n, f1.to_vec())
                             .expect("operand arity equals the spec arity");
-                        let h2 = TruthTable::from_words(n, f2[..nw].to_vec())
-                            .expect("operand arity equals the spec arity");
-                        let r1 = self.realize(&h1, s1)?;
-                        if !r1.is_empty() {
-                            let r2 = self.realize(&h2, s2)?;
-                            if self.emit_pairs(g, &r1, &r2, out) {
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                // Advance.
-                let mut i = 0;
-                loop {
-                    if i == shared {
-                        break 'combos;
-                    }
-                    choice[i] += 1;
-                    if choice[i] < plen[i] {
-                        break;
-                    }
-                    choice[i] = 0;
-                    i += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Multi-word `factor_split`: the wide twin of
-    /// [`Factorizer::factor_split_fast`] for specs of 9–12 inputs (and
-    /// any split with `|A| + |B| ≤ 8`, `|S| ≤ 8` on a ≤ 12-input
-    /// spec). Charts, labellings and their cell expansions live in
-    /// [`W4`] blocks — one aligned 256-bit slice per shared assignment
-    /// — and the compact spec and operand accumulators are fixed
-    /// 64-word stack buffers, so the split and combination loops still
-    /// perform no heap allocation.
-    ///
-    /// Byte-equal to [`Factorizer::factor_split_naive`] in output,
-    /// order, and counter increments (pinned by the differential fuzz
-    /// tests below and the wide-spec bench differential).
-    #[allow(clippy::too_many_arguments)]
-    fn factor_split_wide(
-        &mut self,
-        h: &TruthTable,
-        a_vars: &[usize],
-        b_vars: &[usize],
-        s_vars: &[usize],
-        s1: &TreeShape,
-        s2: &TreeShape,
-        symmetric: bool,
-        seen_triples: &mut HashSet<SeenKey>,
-        out: &mut Vec<Arc<RealTree>>,
-    ) -> Result<(), SynthesisError> {
-        let n = h.num_vars();
-        let (ra, rb, rs) = (a_vars.len(), b_vars.len(), s_vars.len());
-        let d = ra + rb + rs;
-        let rows = 1usize << ra;
-        let cols = 1usize << rb;
-        let shared = 1usize << rs;
-        let cells = rows * cols;
-        let cells_mask = w4_low_mask(cells);
-        let rows_mask = w4_low_mask(rows);
-        let cols_mask = w4_low_mask(cols);
-
-        // Compact the spec onto `B ++ A ++ S` (row-major charts) and
-        // `A ++ B ++ S` (transposed charts); every chart is then an
-        // aligned 256-bit slice (cells is a power of two ≤ 256).
-        let mut order = [0usize; 16];
-        order[..rb].copy_from_slice(b_vars);
-        order[rb..rb + ra].copy_from_slice(a_vars);
-        order[rb + ra..d].copy_from_slice(s_vars);
-        let mut compact_rc = [0u64; WIDE_WORDS];
-        compact_into_words(h, &order[..d], &mut compact_rc);
-        order[..ra].copy_from_slice(a_vars);
-        order[ra..ra + rb].copy_from_slice(b_vars);
-        let mut compact_cr = [0u64; WIDE_WORDS];
-        compact_into_words(h, &order[..d], &mut compact_cr);
-
-        // Per shared assignment: the chart, the first row/column
-        // labelling option (the other option is its complement), and
-        // the labellings expanded to cell masks.
-        let mut charts = [W4::ZERO; WIDE_SHARED];
-        let mut row0 = [W4::ZERO; WIDE_SHARED];
-        let mut col0 = [W4::ZERO; WIDE_SHARED];
-        let mut rcell0 = [W4::ZERO; WIDE_SHARED];
-        let mut ccell0 = [W4::ZERO; WIDE_SHARED];
-        for s in 0..shared {
-            let chart = slice_w4(&compact_rc, s * cells, cells);
-            let chart_t = slice_w4(&compact_cr, s * cells, cells);
-            self.charts_built += 1;
-            // Two unique quartering parts per axis (Examples 5–6).
-            let Some(r0) = two_pattern_mask_w4(&chart, rows, cols) else {
-                return Ok(());
-            };
-            let Some(c0) = two_pattern_mask_w4(&chart_t, cols, rows) else {
-                return Ok(());
-            };
-            charts[s] = chart;
-            row0[s] = r0;
-            col0[s] = c0;
-            rcell0[s] = rows_to_cells_w4(&r0, rows, cols);
-            ccell0[s] = cols_to_cells_w4(&c0, rows, cols);
-        }
-
-        // Split-level support filter (see the fast path).
-        if !covers_axis_w4(&row0[..shared], ra) || !covers_axis_w4(&col0[..shared], rb) {
-            return Ok(());
-        }
-
-        // Operand layout: compact over `own ++ S`, one labelling mask
-        // per shared assignment at an aligned offset.
-        let k1 = ra + rs;
-        let k2 = rb + rs;
-        let mut vars1 = [0usize; 16];
-        vars1[..ra].copy_from_slice(a_vars);
-        vars1[ra..k1].copy_from_slice(s_vars);
-        let mut vars2 = [0usize; 16];
-        vars2[..rb].copy_from_slice(b_vars);
-        vars2[rb..k2].copy_from_slice(s_vars);
-        let mut plan1 = [(0u8, 0u8); 16];
-        let plan1_len = kernel::front_swap_plan(n, &vars1[..k1], &mut plan1);
-        let mut plan2 = [(0u8, 0u8); 16];
-        let plan2_len = kernel::front_swap_plan(n, &vars2[..k2], &mut plan2);
-        let full1 = kernel::low_mask(k1);
-        let full2 = kernel::low_mask(k2);
-        let nw = kernel::words_len(n);
-
-        // For each candidate operator g, pick one row/column labelling
-        // per shared assignment, consistently.
-        'ops: for &g in &stp_tt::NONTRIVIAL_OPS {
-            // Valid (row label, col label) option pairs per shared
-            // assignment; option 0 is the stored mask, 1 its complement.
-            let mut pairs = [[(0u8, 0u8); 4]; WIDE_SHARED];
-            let mut plen = [0usize; WIDE_SHARED];
-            for s in 0..shared {
-                let rc = rcell0[s];
-                let cc = ccell0[s];
-                let mut np = 0usize;
-                for ri in 0..2u8 {
-                    let r = if ri == 0 { rc } else { !rc & cells_mask };
-                    for ci in 0..2u8 {
-                        let c = if ci == 0 { cc } else { !cc & cells_mask };
-                        let mut expected = W4::ZERO;
-                        if g & 1 != 0 {
-                            expected = expected | (!r & !c & cells_mask);
-                        }
-                        if g & 2 != 0 {
-                            expected = expected | (r & !c);
-                        }
-                        if g & 4 != 0 {
-                            expected = expected | (!r & c);
-                        }
-                        if g & 8 != 0 {
-                            expected = expected | (r & c);
-                        }
-                        if expected == charts[s] {
-                            pairs[s][np] = (ri, ci);
-                            np += 1;
-                        }
-                    }
-                }
-                if np == 0 {
-                    continue 'ops;
-                }
-                plen[s] = np;
-            }
-            // Depth-first combination over shared assignments.
-            let mut choice = [0usize; WIDE_SHARED];
-            'combos: loop {
-                self.check_deadline()?;
-                let mut cbuf1 = [0u64; WIDE_WORDS];
-                let mut cbuf2 = [0u64; WIDE_WORDS];
-                for s in 0..shared {
-                    let (ri, ci) = pairs[s][choice[s]];
-                    let rl = if ri == 0 { row0[s] } else { !row0[s] & rows_mask };
-                    let cl = if ci == 0 { col0[s] } else { !col0[s] & cols_mask };
-                    or_labels_at(&mut cbuf1, s * rows, &rl, rows);
-                    or_labels_at(&mut cbuf2, s * cols, &cl, cols);
-                }
-                // Canonical split: full support on the compact tables
-                // (see the fast path).
-                let canonical = kernel::support_mask(&cbuf1[..kernel::words_len(k1)], k1) == full1
-                    && kernel::support_mask(&cbuf2[..kernel::words_len(k2)], k2) == full2;
-                if canonical {
-                    let mut f1 = [0u64; WIDE_WORDS];
-                    expand_with_plan_words(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
-                    let mut f2 = [0u64; WIDE_WORDS];
-                    expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
-                    // Mirror dedup for symmetric shapes.
-                    let ordered = !symmetric || f1[..nw] <= f2[..nw];
-                    if ordered && seen_triples.insert(wide_seen_key(g, &f1, &f2, n, nw)) {
-                        let h1 = TruthTable::from_words(n, f1[..nw].to_vec())
-                            .expect("operand arity equals the spec arity");
-                        let h2 = TruthTable::from_words(n, f2[..nw].to_vec())
+                        let h2 = TruthTable::from_words(n, f2.to_vec())
                             .expect("operand arity equals the spec arity");
                         let r1 = self.realize(&h1, s1)?;
                         if !r1.is_empty() {
@@ -1040,9 +865,9 @@ impl Factorizer {
         Ok(())
     }
 
-    /// Scalar reference `factor_split`, retained as the multi-word
-    /// fallback (arities or splits beyond the fast-path bounds) and as
-    /// the ground truth for the differential fuzz tests.
+    /// Scalar reference `factor_split`, retained as the fallback for
+    /// splits beyond the word-level bounds and as the ground truth for
+    /// the differential fuzz tests.
     #[allow(clippy::too_many_arguments)]
     fn factor_split_naive(
         &mut self,
@@ -1100,7 +925,7 @@ impl Factorizer {
             charts.push(chart);
         }
 
-        // Split-level support filter (see the fast path).
+        // Split-level support filter (see the word-level path).
         if !covers_axis(&row_options, a_vars.len()) || !covers_axis(&col_options, b_vars.len()) {
             return Ok(());
         }
@@ -1150,7 +975,10 @@ impl Factorizer {
                 let canonical = h1_sup == want1 && h2_sup == want2;
                 // Mirror dedup for symmetric shapes.
                 let ordered = !symmetric || h1.words() <= h2.words();
-                if canonical && ordered && seen_triples.insert(seen_key(g, &h1, &h2)) {
+                if canonical
+                    && ordered
+                    && seen_triples.insert(seen_key(g, h1.words(), h2.words(), n))
+                {
                     let r1 = self.realize(&h1, s1)?;
                     if !r1.is_empty() {
                         let r2 = self.realize(&h2, s2)?;
@@ -1210,15 +1038,9 @@ impl Factorizer {
 /// Compacts `h` onto `vars` into a caller-owned stack buffer: bit `m`
 /// of the result is `h` at the assignment where input `vars[k]` takes
 /// bit `k` of `m` and every other input is 0. Word-level (cofactor
-/// masks + a front-swap plan), no allocation; requires
-/// `h.num_vars() ≤ 8` so the table fits the buffer.
-fn compact_into(h: &TruthTable, vars: &[usize], buf: &mut [u64; 4]) {
-    compact_into_words(h, vars, buf);
-}
-
-/// Buffer-size-generic twin of [`compact_into`]: `buf` must hold at
-/// least `h`'s words (the wide path hands it a 64-word buffer).
-fn compact_into_words(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
+/// masks + a front-swap plan), no allocation; `buf` must hold at least
+/// `h`'s words.
+fn compact_into(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
     let n = h.num_vars();
     let nw = h.words().len();
     buf[..nw].copy_from_slice(h.words());
@@ -1258,12 +1080,7 @@ fn compact_into_words(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
 /// Expands a `k`-input compact table to `n` inputs by tiling and then
 /// undoing the front-swap `plan` (computed for the same variable list).
 /// The inverse of [`compact_into`] up to don't-cares.
-fn expand_with_plan(compact: &[u64; 4], k: usize, n: usize, plan: &[(u8, u8)], out: &mut [u64; 4]) {
-    expand_with_plan_words(compact, k, n, plan, out);
-}
-
-/// Buffer-size-generic twin of [`expand_with_plan`].
-fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)], out: &mut [u64]) {
+fn expand_with_plan(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)], out: &mut [u64]) {
     let nw = kernel::words_len(n);
     kernel::tile_words(&compact[..kernel::words_len(k)], k, n, &mut out[..nw]);
     for &(i, p) in plan.iter().rev() {
@@ -1271,213 +1088,93 @@ fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)]
     }
 }
 
-/// Dedup key for a wide-path candidate: identical to [`seen_key`] on
-/// the same operand tables (`f1`/`f2` hold `nw` meaningful words).
-fn wide_seen_key(g: u8, f1: &[u64], f2: &[u64], n: usize, nw: usize) -> SeenKey {
-    if n <= FAST_MAX_VARS {
-        let mut w1 = [0u64; 4];
-        w1[..nw].copy_from_slice(&f1[..nw]);
-        let mut w2 = [0u64; 4];
-        w2[..nw].copy_from_slice(&f2[..nw]);
-        SeenKey::Small(g, w1, w2)
-    } else {
-        SeenKey::Big(g, f1[..nw].to_vec(), f2[..nw].to_vec())
-    }
+/// `L` words with the low `count` bits set (`count ≤ 64·L`).
+fn low_mask<const L: usize>(count: usize) -> [u64; L] {
+    std::array::from_fn(|w| kernel::low_mask(count.saturating_sub(64 * w)))
 }
 
-/// 256-bit variant of [`kernel::low_mask`] (`count ≤ 256`).
-fn w4_low_mask(count: usize) -> W4 {
-    let mut out = [0u64; 4];
-    for (i, w) in out.iter_mut().enumerate() {
-        let lo = i * 64;
-        *w = if count >= lo + 64 {
-            u64::MAX
-        } else if count > lo {
-            kernel::low_mask(count - lo)
-        } else {
-            0
-        };
-    }
-    W4(out)
-}
-
-/// Reads the `cells`-bit field at `bit_off` from a packed buffer into
-/// the low lanes of a [`W4`]. The wide path only asks for
-/// power-of-two-sized fields at multiples of their size, so a field
-/// ≤ 64 bits never straddles a word and a larger field is
-/// word-aligned.
-fn slice_w4(buf: &[u64], bit_off: usize, cells: usize) -> W4 {
-    if cells <= 64 {
-        W4([(buf[bit_off >> 6] >> (bit_off & 63)) & kernel::low_mask(cells), 0, 0, 0])
-    } else {
-        let base = bit_off >> 6;
-        let nw = cells / 64;
-        let mut out = [0u64; 4];
-        out[..nw].copy_from_slice(&buf[base..base + nw]);
-        W4(out)
-    }
-}
-
-/// The `i`-th `width`-bit field of a ≤ 256-bit chart (`width` a power
-/// of two).
-fn field_w4(chart: &W4, i: usize, width: usize) -> W4 {
+/// The `i`-th `width`-bit field of a packed buffer, in the low bits of
+/// `L` words (`width` a power of two ≤ `64·L`). Fields sit at
+/// multiples of their width, so one of ≤ 64 bits never straddles a
+/// word and a wider one is word-aligned.
+#[inline]
+fn field<const L: usize>(buf: &[u64], i: usize, width: usize) -> [u64; L] {
+    let mut out = [0u64; L];
     if width <= 64 {
         let off = i * width;
-        W4([(chart.0[off >> 6] >> (off & 63)) & kernel::low_mask(width), 0, 0, 0])
-    } else if width == 128 {
-        W4([chart.0[2 * i], chart.0[2 * i + 1], 0, 0])
-    } else {
-        *chart
-    }
-}
-
-/// [`W4`] twin of [`two_pattern_mask`]: first labelling option over
-/// `count` axis elements of `width`-bit patterns, or `None` when more
-/// than two distinct patterns exist.
-fn two_pattern_mask_w4(chart: &W4, count: usize, width: usize) -> Option<W4> {
-    let first = field_w4(chart, 0, width);
-    let mut second: Option<W4> = None;
-    let mut labels = W4::ZERO;
-    for i in 1..count {
-        let p = field_w4(chart, i, width);
-        if p == first {
-            continue;
-        }
-        match second {
-            None => {
-                second = Some(p);
-                labels.0[i >> 6] |= 1u64 << (i & 63);
-            }
-            Some(sp) if p == sp => labels.0[i >> 6] |= 1u64 << (i & 63),
-            Some(_) => return None,
-        }
-    }
-    Some(labels)
-}
-
-/// ORs `val`'s low `width` bits into field `i` of `buf` (`width` a
-/// power of two ≤ 256).
-fn or_field_w4(buf: &mut W4, i: usize, width: usize, val: &W4) {
-    if width <= 64 {
-        let off = i * width;
-        buf.0[off >> 6] |= (val.0[0] & kernel::low_mask(width)) << (off & 63);
+        out[0] = (buf[off >> 6] >> (off & 63)) & kernel::low_mask(width);
     } else {
         let nw = width / 64;
-        for (dst, src) in buf.0[i * nw..(i + 1) * nw].iter_mut().zip(val.0.iter()) {
-            *dst |= src;
-        }
-    }
-}
-
-/// ORs the low `count` bits of `labels` into `buf` at `bit_off`. The
-/// wide path's operand buffers place `count`-bit fields at multiples
-/// of `count`, so the same alignment argument as [`slice_w4`] applies.
-fn or_labels_at(buf: &mut [u64], bit_off: usize, labels: &W4, count: usize) {
-    if count <= 64 {
-        buf[bit_off >> 6] |= (labels.0[0] & kernel::low_mask(count)) << (bit_off & 63);
-    } else {
-        let base = bit_off >> 6;
-        for (dst, src) in buf[base..base + count / 64].iter_mut().zip(labels.0.iter()) {
-            *dst |= src;
-        }
-    }
-}
-
-/// Expands a row labelling (bit `r` over `rows`) to a cell mask (bit
-/// `r·cols + c` set for every `c` when row `r` is labelled).
-fn rows_to_cells_w4(labels: &W4, rows: usize, cols: usize) -> W4 {
-    let full = w4_low_mask(cols);
-    let mut out = W4::ZERO;
-    for r in 0..rows {
-        if labels.0[r >> 6] >> (r & 63) & 1 == 1 {
-            or_field_w4(&mut out, r, cols, &full);
-        }
+        out[..nw].copy_from_slice(&buf[i * nw..(i + 1) * nw]);
     }
     out
 }
 
-/// Expands a column labelling (bit `c` over `cols`) to a cell mask by
-/// replicating it across all `rows` rows.
-fn cols_to_cells_w4(labels: &W4, rows: usize, cols: usize) -> W4 {
-    let mut out = W4::ZERO;
-    for r in 0..rows {
-        or_field_w4(&mut out, r, cols, labels);
-    }
-    out
-}
-
-/// [`W4`] twin of [`covers_axis_mask`]: `labels[s]` is the first
-/// labelling option for shared assignment `s` over `2^k` axis
-/// elements.
-fn covers_axis_w4(labels: &[W4], k: usize) -> bool {
-    let count = 1usize << k;
-    let full = (1u32 << k) - 1;
-    let bit = |l: &W4, m: usize| l.0[m >> 6] >> (m & 63) & 1;
-    let mut covered = 0u32;
-    for l in labels {
-        for b in 0..k {
-            if covered >> b & 1 == 1 {
-                continue;
-            }
-            let stride = 1usize << b;
-            for m in 0..count {
-                if m & stride == 0 && bit(l, m) != bit(l, m | stride) {
-                    covered |= 1 << b;
-                    break;
-                }
-            }
-        }
-        if covered == full {
-            return true;
-        }
-    }
-    covered == full
-}
-
-/// Reads `width ≤ 64` bits at `bit_off` from a packed buffer. The fast
-/// path only asks for power-of-two-sized slices at multiples of their
-/// size, so a slice never straddles a word.
+/// ORs `val` into the `i`-th `width`-bit field of a packed buffer, the
+/// inverse of [`field`]; `val` has no bits at or above `width`.
 #[inline]
-fn slice64(buf: &[u64; 4], bit_off: usize, width_mask: u64) -> u64 {
-    (buf[bit_off >> 6] >> (bit_off & 63)) & width_mask
+fn or_field<const L: usize>(buf: &mut [u64], i: usize, width: usize, val: &[u64; L]) {
+    if width <= 64 {
+        let off = i * width;
+        buf[off >> 6] |= val[0] << (off & 63);
+    } else {
+        let nw = width / 64;
+        for (dst, src) in buf[i * nw..(i + 1) * nw].iter_mut().zip(val) {
+            *dst |= src;
+        }
+    }
 }
 
-/// Mask twin of [`two_pattern_labels`]: returns the first labelling
+/// Mask form of [`two_pattern_labels`]: returns the first labelling
 /// option (bit `i` set ⇔ axis element `i` carries the second distinct
 /// pattern; all zeros for a degenerate single-pattern axis), or `None`
 /// when more than two distinct patterns exist. `chart` holds `count`
 /// fields of `width` bits each.
-fn two_pattern_mask(chart: u64, count: usize, width: usize) -> Option<u64> {
-    let m = kernel::low_mask(width);
-    let first = chart & m;
-    let mut second: Option<u64> = None;
-    let mut labels = 0u64;
+fn two_pattern_mask<const L: usize>(
+    chart: &[u64; L],
+    count: usize,
+    width: usize,
+) -> Option<[u64; L]> {
+    let first = field::<L>(chart, 0, width);
+    let mut second: Option<[u64; L]> = None;
+    let mut labels = [0u64; L];
     for i in 1..count {
-        let p = (chart >> (i * width)) & m;
+        let p = field::<L>(chart, i, width);
         if p == first {
             continue;
         }
         match second {
             None => {
                 second = Some(p);
-                labels |= 1u64 << i;
+                labels[i >> 6] |= 1u64 << (i & 63);
             }
-            Some(sp) if p == sp => labels |= 1u64 << i,
+            Some(sp) if p == sp => labels[i >> 6] |= 1u64 << (i & 63),
             Some(_) => return None,
         }
     }
     Some(labels)
 }
 
-/// Mask twin of [`covers_axis`]: `labels[s]` is the first labelling
-/// option for shared assignment `s` over `count = 2^k` axis elements.
-fn covers_axis_mask(labels: &[u64], k: usize, count: usize) -> bool {
+/// Mask form of [`covers_axis`]: `labels[s]` is the first labelling
+/// option for shared assignment `s` over `2^k` axis elements. Axis
+/// variables below 6 pair bits within a word ([`kernel::VAR_MASK`]);
+/// the ones above pair whole words.
+fn covers_axis_mask<const L: usize>(labels: &[[u64; L]], k: usize) -> bool {
+    let count = 1usize << k;
+    let words = count.div_ceil(64);
+    let in_word = kernel::low_mask(count);
     let full = (1u32 << k) - 1;
     let mut covered = 0u32;
-    for &l in labels {
+    for l in labels {
         for bit in 0..k {
-            let zeros = !kernel::VAR_MASK[bit] & kernel::low_mask(count);
-            if ((l >> (1usize << bit)) ^ l) & zeros != 0 {
+            let differs = if bit < 6 {
+                let zeros = !kernel::VAR_MASK[bit] & in_word;
+                l[..words].iter().any(|&w| ((w >> (1usize << bit)) ^ w) & zeros != 0)
+            } else {
+                let stride = 1usize << (bit - 6);
+                (0..words).any(|w| w & stride == 0 && l[w] != l[w | stride])
+            };
+            if differs {
                 covered |= 1 << bit;
             }
         }
@@ -1880,6 +1577,47 @@ mod tests {
         TruthTable::from_words(n, words).unwrap()
     }
 
+    /// Runs one split through the word-level instance
+    /// `<L, SPEC_WORDS, SHARED>` and through the scalar reference, with
+    /// leaf children so the comparison isolates the kernel: emitted
+    /// candidates, the seen set and the counter increments must be
+    /// byte-equal. Returns the number of canonical candidates seen.
+    fn assert_split_matches_naive<const L: usize, const SPEC_WORDS: usize, const SHARED: usize>(
+        h: &TruthTable,
+        a: &[usize],
+        b: &[usize],
+        s: &[usize],
+        symmetric: bool,
+    ) -> usize {
+        let leaf = TreeShape::Leaf;
+        let mut word_level = Factorizer::new(FactorConfig::default());
+        let mut naive = Factorizer::new(FactorConfig::default());
+        let (mut seen_w, mut out_w) = (HashSet::new(), Vec::new());
+        let (mut seen_n, mut out_n) = (HashSet::new(), Vec::new());
+        word_level
+            .factor_split_words::<L, SPEC_WORDS, SHARED>(
+                h,
+                a,
+                b,
+                s,
+                &leaf,
+                &leaf,
+                symmetric,
+                &mut seen_w,
+                &mut out_w,
+            )
+            .unwrap();
+        naive
+            .factor_split_naive(h, a, b, s, &leaf, &leaf, symmetric, &mut seen_n, &mut out_n)
+            .unwrap();
+        let ctx = format!("n={} a={a:?} b={b:?} s={s:?} spec={}", h.num_vars(), h.to_hex());
+        assert_eq!(out_w, out_n, "candidates differ: {ctx}");
+        assert_eq!(seen_w, seen_n, "seen triples differ: {ctx}");
+        assert_eq!(word_level.charts_built, naive.charts_built, "chart counts differ: {ctx}");
+        assert_eq!(word_level.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
+        seen_w.len()
+    }
+
     #[test]
     fn fuzz_fast_split_matches_naive_reference() {
         // For random tables over 2–8 variables and random (A, B, S)
@@ -1890,7 +1628,6 @@ mod tests {
         // set, same counter increments. Leaf children keep the
         // recursion trivial so the comparison isolates the kernels.
         let mut rng = Lcg(0xfac7_0123_5eed_0001);
-        let leaf = TreeShape::Leaf;
         let mut tested = 0usize;
         let mut attempts = 0usize;
         while tested < 150 {
@@ -1926,42 +1663,7 @@ mod tests {
             }
             tested += 1;
             let symmetric = rng.next() & 1 == 1;
-            let mut fast = Factorizer::new(FactorConfig::default());
-            let mut naive = Factorizer::new(FactorConfig::default());
-            let mut seen_f = HashSet::new();
-            let mut out_f = Vec::new();
-            let mut seen_n = HashSet::new();
-            let mut out_n = Vec::new();
-            fast.factor_split_fast(
-                &h,
-                &a,
-                &b,
-                &s,
-                &leaf,
-                &leaf,
-                symmetric,
-                &mut seen_f,
-                &mut out_f,
-            )
-            .unwrap();
-            naive
-                .factor_split_naive(
-                    &h,
-                    &a,
-                    &b,
-                    &s,
-                    &leaf,
-                    &leaf,
-                    symmetric,
-                    &mut seen_n,
-                    &mut out_n,
-                )
-                .unwrap();
-            let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
-            assert_eq!(out_f, out_n, "candidates differ: {ctx}");
-            assert_eq!(seen_f, seen_n, "seen triples differ: {ctx}");
-            assert_eq!(fast.charts_built, naive.charts_built, "chart counts differ: {ctx}");
-            assert_eq!(fast.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
+            assert_split_matches_naive::<1, FAST_WORDS, FAST_SHARED>(&h, &a, &b, &s, symmetric);
         }
     }
 
@@ -2021,7 +1723,6 @@ mod tests {
         // is capped at 3 for the same combination-explosion reason as the
         // fast fuzz.
         let mut rng = Lcg(0xfac7_0123_5eed_0002);
-        let leaf = TreeShape::Leaf;
         let mut tested = 0usize;
         let mut multiword_axes = 0usize;
         let mut attempts = 0usize;
@@ -2054,44 +1755,50 @@ mod tests {
                 multiword_axes += 1;
             }
             let symmetric = rng.next() & 1 == 1;
-            let mut wide = Factorizer::new(FactorConfig::default());
-            let mut naive = Factorizer::new(FactorConfig::default());
-            let mut seen_w = HashSet::new();
-            let mut out_w = Vec::new();
-            let mut seen_n = HashSet::new();
-            let mut out_n = Vec::new();
-            wide.factor_split_wide(
-                &h,
-                &a,
-                &b,
-                &s,
-                &leaf,
-                &leaf,
-                symmetric,
-                &mut seen_w,
-                &mut out_w,
-            )
-            .unwrap();
-            naive
-                .factor_split_naive(
-                    &h,
-                    &a,
-                    &b,
-                    &s,
-                    &leaf,
-                    &leaf,
-                    symmetric,
-                    &mut seen_n,
-                    &mut out_n,
-                )
-                .unwrap();
-            let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
-            assert_eq!(out_w, out_n, "candidates differ: {ctx}");
-            assert_eq!(seen_w, seen_n, "seen triples differ: {ctx}");
-            assert_eq!(wide.charts_built, naive.charts_built, "chart counts differ: {ctx}");
-            assert_eq!(wide.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
+            assert_split_matches_naive::<4, WIDE_WORDS, WIDE_SHARED>(&h, &a, &b, &s, symmetric);
         }
         assert!(multiword_axes >= 20, "too few multi-lane cases: {multiword_axes}");
+    }
+
+    #[test]
+    fn fuzz_wide_split_at_twelve_inputs_matches_naive_reference() {
+        // The wide fuzz above samples 7–11 inputs, so the four-word
+        // instance never meets a spec filling all `WIDE_WORDS` words of
+        // its buffers. This batch runs at n = 12. Each spec is
+        // `g(h1(A ∪ S), h2(B ∪ S))` for random operand tables, so the
+        // charts pass the two-pattern test and the scatter, canonicality
+        // and 64-word expansion steps run, not just chart extraction.
+        // |A|, |B| ≤ 4 and |S| ≤ 2 keep the scalar reference's
+        // per-combination 4096-entry operand tables affordable.
+        let mut rng = Lcg(0xfac7_0123_5eed_0003);
+        let mut candidates = 0usize;
+        for _ in 0..24 {
+            let mut vars: Vec<usize> = (0..12).collect();
+            for i in (1..vars.len()).rev() {
+                vars.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+            }
+            let na = 1 + (rng.next() % 4) as usize;
+            let nb = 1 + (rng.next() % 4) as usize;
+            let ns = (rng.next() % 3) as usize;
+            let a = vars[..na].to_vec();
+            let b = vars[na..na + nb].to_vec();
+            let s = vars[na + nb..na + nb + ns].to_vec();
+            let g = stp_tt::NONTRIVIAL_OPS[(rng.next() % 10) as usize];
+            let (t1, t2) = (rng.next(), rng.next());
+            let h = TruthTable::from_fn(12, |x| {
+                let index = |vs: &[usize]| {
+                    vs.iter().enumerate().fold(0, |m, (i, &v)| m | (x[v] as usize) << i)
+                };
+                let o1 = t1 >> (index(&a) | index(&s) << na) & 1;
+                let o2 = t2 >> (index(&b) | index(&s) << nb) & 1;
+                g >> (o1 + 2 * o2) & 1 == 1
+            })
+            .unwrap();
+            let symmetric = rng.next() & 1 == 1;
+            candidates +=
+                assert_split_matches_naive::<4, WIDE_WORDS, WIDE_SHARED>(&h, &a, &b, &s, symmetric);
+        }
+        assert!(candidates >= 24, "too few canonical candidates at n = 12: {candidates}");
     }
 
     fn balanced_shape(leaves: usize) -> TreeShape {
@@ -2104,10 +1811,10 @@ mod tests {
 
     #[test]
     fn fuzz_full_engine_wide_matches_naive() {
-        // End-to-end differential for the 9+-input wide path: structured
+        // End-to-end differential for 9+-input specs: structured
         // (factorization-friendly) specs on fixed shapes whose leaf
         // excess admits shared variables, so the top-level splits with
-        // |A| + |B| ≤ 8 actually route through `factor_split_wide` while
+        // |A| + |B| ≤ 8 actually route through the four-word kernel while
         // the `force_naive` engine replays everything through the scalar
         // reference. Chains, counters, and chart counts must agree.
         let mut specs: Vec<TruthTable> = Vec::new();

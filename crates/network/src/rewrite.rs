@@ -816,6 +816,77 @@ mod tests {
         assert_eq!(cache.misses(), misses, "joint classes must be cached too");
     }
 
+    /// Draw 12 700 of the `rewrite_fresh` benchmark workload at seed 4
+    /// (a seeded `random_network(6, 16, 3)`). One joint cut group has the
+    /// classes `0000`, `0001` and `7ffe`; the engine's 7-gate chains for
+    /// `7ffe` compute `x1 ⊕ x2` twice and read both copies, which chain
+    /// merging once folded into a gate with equal fanins.
+    const REPEATED_GATE_BLIF: &str = "\
+.model bench
+.inputs x1 x2 x3 x4 x5 x6
+.outputs f1 f2 f3
+.names x1 x2 n7
+10 1
+01 1
+11 1
+.names x1 n7 n8
+10 1
+.names x1 x2 n9
+10 1
+01 1
+.names x1 x5 n10
+11 1
+.names x6 n10 n11
+10 1
+01 1
+.names x2 x5 n12
+10 1
+01 1
+11 1
+.names n9 n11 n13
+10 1
+01 1
+11 1
+.names x4 n9 n14
+10 1
+.names x6 n12 n15
+01 1
+.names x2 x5 n16
+11 1
+.names x2 x5 n17
+01 1
+.names n13 n15 n18
+10 1
+01 1
+11 1
+.names n17 n18 n19
+10 1
+01 1
+11 1
+.names n9 n13 n20
+10 1
+.names n16 n19 n21
+10 1
+.names n21 f1
+1 1
+.names n20 f2
+0 1
+.names n19 f3
+1 1
+.end
+";
+
+    #[test]
+    fn joint_rewrite_merges_chains_with_repeated_gates() {
+        let net = Network::from_blif(REPEATED_GATE_BLIF).unwrap();
+        assert_eq!(net.live_gate_count(), 12);
+        let config = RewriteConfig::default();
+        assert!(config.multi_output);
+        let result = rewrite(&net, &config, &SynthesisCache::new()).unwrap();
+        assert!(crate::equivalent_exhaustive(&net, &result.network).unwrap());
+        assert!(result.gates_after < 12, "got {} gates", result.gates_after);
+    }
+
     #[test]
     fn joint_rewrite_transcript_is_jobs_invariant() {
         let net = unshared_full_adder();
