@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate — the same three checks .github/workflows/ci.yml runs.
+# The CI gate: every check, in order. .github/workflows/ci.yml installs
+# rustfmt and clippy and runs this script, so this is the one list.
 # Everything is --offline: the workspace has no registry dependencies
 # (rand/proptest/criterion are vendored in vendor/), so a network-less
 # container must build and test cleanly.

@@ -27,9 +27,9 @@
 
 use std::time::{Duration, Instant};
 
-use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::profdiff::PINNED_COUNTERS;
 use stp_bench::{fdsd, npn4, run_suite, wide, Algorithm, Suite};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 use stp_telemetry::Json;
 
 // With --features alloc-profile, heap traffic is attributed to the

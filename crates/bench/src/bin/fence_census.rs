@@ -11,8 +11,8 @@
 //! to stderr after the census; `--profile-folded <path>` writes
 //! flamegraph-compatible folded stacks.
 
-use stp_bench::cli::flag_error;
 use stp_fence::{all_fences, dags_for_fence, pruned_fences};
+use stp_telemetry::cli::flag_error;
 use stp_telemetry::report;
 
 // With --features alloc-profile, heap traffic is attributed to the

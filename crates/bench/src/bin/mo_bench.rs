@@ -14,8 +14,8 @@
 
 use std::time::Duration;
 
-use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::mo::{measure_case, measure_rewrite, MO_CASES};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 use stp_telemetry::Json;
 
 /// Rounds a wall-clock reading to milliseconds for the committed

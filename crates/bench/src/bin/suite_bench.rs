@@ -23,9 +23,9 @@
 
 use std::time::{Duration, Instant};
 
-use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::profdiff::SUITE_PINNED_COUNTERS;
 use stp_bench::{npn4, run_suite, Algorithm, Suite};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 use stp_telemetry::Json;
 
 /// The NPN4 prefix pinned by the drift gate — the same slice as the

@@ -27,13 +27,13 @@
 
 use std::time::Duration;
 
-use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::{
     render_counters, render_headlines, render_table, run_suite_with_retry, Algorithm, RetryPolicy,
     Scale,
 };
 use stp_store::Store;
 use stp_synth::{warm_npn4, SynthesisConfig};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 
 // With --features alloc-profile, heap traffic is attributed to the
 // innermost open profile span (an extra bytes column under --profile).

@@ -34,10 +34,10 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use stp_bench::cli::{flag_error, parse_flag_value};
 use stp_bench::RetryPolicy;
 use stp_store::Store;
 use stp_synth::{synthesize_npn_with_store, warm_classes, SynthesisConfig};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 use stp_telemetry::Json;
 use stp_tt::{canonicalize, random_fdsd, TruthTable};
 

@@ -406,9 +406,6 @@ fn run_shape_task(
     })
 }
 
-/// One shape task: factorize, then verify candidates in order. The
-/// worker checks the cancellation flag between candidates so a deadline
-/// or a satisfied solution cap interrupts long verify streaks too.
 /// Static per-height shape labels, so the per-shape profile span never
 /// formats (and never allocates) in the round's inner loop. Heights
 /// beyond the table share one overflow label; fence heights are bounded
@@ -436,6 +433,9 @@ fn shape_label(shape: &TreeShape) -> &'static str {
     SHAPE_LABELS.get(shape.height()).copied().unwrap_or("shape.h16plus")
 }
 
+/// One shape task: factorize, then verify candidates in order. The
+/// worker checks the cancellation flag between candidates so a deadline
+/// or a satisfied solution cap interrupts long verify streaks too.
 fn process_task(
     spec: &TruthTable,
     shape: &TreeShape,

@@ -59,7 +59,7 @@ pub struct SynthesisConfig {
     pub jobs: usize,
     /// Optional external kill switch: once a host sets this flag the
     /// run aborts with [`SynthesisError::Timeout`] at its next
-    /// cancellation checkpoint — between gate-count rounds and inside
+    /// cancellation checkpoint — between search rounds and inside
     /// [`crate::FactorConfig::check_deadline`]. Unlike the internal
     /// per-round cancel flag this is never re-armed by the engine, so a
     /// server can revoke many in-flight runs with one store (`stpd`
@@ -157,82 +157,7 @@ pub fn synthesize(
     spec: &TruthTable,
     config: &SynthesisConfig,
 ) -> Result<SynthesisResult, SynthesisError> {
-    // Trivial specifications need no gates.
-    if let Some(chain) = trivial_chain(spec) {
-        stp_telemetry::counter!("synth.trivial_hits").inc();
-        return Ok(SynthesisResult {
-            chains: vec![chain],
-            gate_count: 0,
-            shapes_explored: 0,
-            fences_explored: 0,
-            factor_nodes: 0,
-        });
-    }
-    let support = spec.support();
-    // Paper step (i): a function of k support variables needs at least
-    // k − 1 binary gates.
-    let start = support.len().saturating_sub(1).max(1);
-    let jobs = parallel::resolve_jobs(config.jobs);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let mut engines = build_engines(config, jobs, &cancel);
-    let mut shapes_explored = 0usize;
-    let mut fences_explored = 0usize;
-    for r in start..=config.max_gates {
-        // The external kill switch is honored between rounds as well as
-        // at the factorization checkpoints inside one.
-        if let Some(abort) = &config.abort {
-            if abort.load(Ordering::Acquire) {
-                return Err(SynthesisError::Timeout);
-            }
-        }
-        let _round = stp_telemetry::span!("synth.round.r{}", r);
-        stp_telemetry::counter!("synth.rounds").inc();
-        // Flatten the fence groups into one shape-indexed work list; the
-        // group boundaries carry no search semantics, only the fence
-        // tally.
-        let shapes: Vec<TreeShape> = {
-            let _enum = stp_telemetry::span!("phase.fence_enum");
-            let mut flat = if config.fence_pruning {
-                let mut flat = Vec::new();
-                for fence in &pruned_fences(r) {
-                    fences_explored += 1;
-                    flat.extend(shapes_for_fence(fence));
-                }
-                flat
-            } else {
-                let flat = shapes_with_gates(r);
-                fences_explored += distinct_fence_count(&flat);
-                flat
-            };
-            // An explicit depth budget restricts the topology family;
-            // the default (`None`) leaves the classic sweep untouched.
-            if let Some(d) = config.max_depth {
-                flat.retain(|shape| shape.height() <= d);
-            }
-            flat
-        };
-        stp_telemetry::debug!("synth: r={r}, {} shapes, {jobs} worker(s)", shapes.len());
-        let outcome = run_round(
-            spec,
-            &shapes,
-            &mut engines,
-            config.max_solutions,
-            config.max_depth,
-            &cancel,
-        )?;
-        shapes_explored += outcome.shapes_explored;
-        if !outcome.solutions.is_empty() {
-            stp_telemetry::counter!("synth.solutions").add(outcome.solutions.len() as u64);
-            return Ok(SynthesisResult {
-                chains: outcome.solutions,
-                gate_count: r,
-                shapes_explored,
-                fences_explored,
-                factor_nodes: engines.iter().map(Factorizer::nodes_explored).sum(),
-            });
-        }
-    }
-    Err(SynthesisError::GateLimitExceeded { max_gates: config.max_gates })
+    sweep(spec, &GateCountObjective, config)
 }
 
 /// Builds the per-worker factorization engines for one synthesis run.
@@ -314,9 +239,11 @@ pub trait CostObjective: Send + Sync + std::fmt::Debug {
         false
     }
 
-    /// `true` when the objective is exactly "minimize gate count": the
-    /// sweep then terminates at the first non-empty round and takes the
-    /// classic [`synthesize`] fast path unchanged.
+    /// `true` when the objective is exactly "minimize gate count". The
+    /// search never branches on it (the stop rule already ends a
+    /// gate-count sweep at its first non-empty round); hosts use it to
+    /// tell whether a store or engine that holds gate-count optima only
+    /// can answer.
     fn is_gate_count(&self) -> bool {
         false
     }
@@ -476,16 +403,14 @@ pub fn objective_from_spec(spec: &str) -> Result<Box<dyn CostObjective>, String>
 
 /// Runs STP exact synthesis under an explicit [`CostObjective`].
 ///
-/// [`GateCountObjective`] takes the classic [`synthesize`] path.
-/// [`DepthThenGatesObjective`] organizes the topology search by tree
-/// height: for each depth `d` (from `⌈log₂(support)⌉` up) it explores
-/// the shapes of height `≤ d` in increasing gate count, so the first
-/// hit is depth-optimal with minimum gates among depth-optimal chains.
-/// Any other objective runs the cost sweep: ascending gate-count rounds
-/// that continue past the first solutions until
-/// [`CostObjective::gate_count_lower_bound`] proves no cheaper chain
-/// can exist, returning every chain at the optimum cost (trimmed to
-/// [`SynthesisConfig::max_solutions`]).
+/// Every objective runs the one round sweep behind [`synthesize`] and
+/// chooses only its round order and stop rule. By default rounds raise
+/// the gate count until [`CostObjective::gate_count_lower_bound`] proves
+/// no cheaper chain can exist (for gate count: the first non-empty
+/// round), returning every chain at the optimum cost. A
+/// [`CostObjective::depth_major`] objective instead explores, for each
+/// depth `d` from `⌈log₂(support)⌉` up, the shapes of height `≤ d` in
+/// increasing gate count and stops at the first hit.
 ///
 /// Exactness caveat: within one round the solution cap applies to the
 /// raw solution stream, so a binding `max_solutions` can hide ties (or,
@@ -495,7 +420,9 @@ pub fn objective_from_spec(spec: &str) -> Result<Box<dyn CostObjective>, String>
 ///
 /// # Errors
 ///
-/// Same conditions as [`synthesize`].
+/// Same conditions as [`synthesize`], plus
+/// [`SynthesisError::DepthLimitExceeded`] when an explicit
+/// [`SynthesisConfig::max_depth`] cut a depth-major sweep short.
 ///
 /// # Examples
 ///
@@ -518,24 +445,18 @@ pub fn synthesize_with_objective(
     objective: &dyn CostObjective,
     config: &SynthesisConfig,
 ) -> Result<SynthesisResult, SynthesisError> {
-    if objective.is_gate_count() {
-        synthesize(spec, config)
-    } else if objective.depth_major() {
-        synthesize_min_depth(spec, config)
-    } else {
-        synthesize_cost_sweep(spec, objective, config)
-    }
+    sweep(spec, objective, config)
 }
 
-/// The generalized gate-count sweep for weighted objectives: rounds
-/// keep running after the first solutions until the objective's lower
-/// bound proves the best cost cannot improve, collecting every chain at
-/// the optimum cost across rounds.
-fn synthesize_cost_sweep(
+/// The one search loop, paper steps (i)–(iv): walk the objective's
+/// rounds, enumerate each round's topologies, factorize and verify
+/// them, and keep every chain at the best cost seen so far.
+fn sweep(
     spec: &TruthTable,
     objective: &dyn CostObjective,
     config: &SynthesisConfig,
 ) -> Result<SynthesisResult, SynthesisError> {
+    // Trivial specifications need no gates.
     if let Some(chain) = trivial_chain(spec) {
         stp_telemetry::counter!("synth.trivial_hits").inc();
         return Ok(SynthesisResult {
@@ -546,8 +467,8 @@ fn synthesize_cost_sweep(
             factor_nodes: 0,
         });
     }
-    let support = spec.support();
-    let start = support.len().saturating_sub(1).max(1);
+    let depth_major = objective.depth_major();
+    let (rounds, exhausted) = round_order(objective, config, spec.support().len());
     let jobs = parallel::resolve_jobs(config.jobs);
     let cancel = Arc::new(AtomicBool::new(false));
     let mut engines = build_engines(config, jobs, &cancel);
@@ -555,20 +476,33 @@ fn synthesize_cost_sweep(
     let mut fences_explored = 0usize;
     let mut best: Vec<Chain> = Vec::new();
     let mut best_cost: Option<u64> = None;
-    for r in start..=config.max_gates {
+    for (r, depth) in rounds {
+        // Stop rule: a depth-major sweep ends at its first non-empty
+        // round. Otherwise every chain with r gates costs at least the
+        // bound; equality could still tie, so only a strictly larger
+        // bound ends the sweep.
         if let Some(cost) = best_cost {
-            // Sound termination: every chain with r gates costs at
-            // least the bound; equality could still tie, so only a
-            // strictly larger bound ends the sweep.
-            if objective.gate_count_lower_bound(r) > cost {
+            if depth_major || objective.gate_count_lower_bound(r) > cost {
                 break;
+            }
+        }
+        // The external kill switch is honored between rounds as well as
+        // at the factorization checkpoints inside one.
+        if let Some(abort) = &config.abort {
+            if abort.load(Ordering::Acquire) {
+                return Err(SynthesisError::Timeout);
             }
         }
         let _round = stp_telemetry::span!("synth.round.r{}", r);
         stp_telemetry::counter!("synth.rounds").inc();
+        // Flatten the fence groups into one shape-indexed work list. The
+        // fence tally comes before the depth bound, except in depth-major
+        // rounds, which search every tree and count after it.
         let shapes: Vec<TreeShape> = {
             let _enum = stp_telemetry::span!("phase.fence_enum");
-            let mut flat = if config.fence_pruning {
+            let mut flat = if depth_major {
+                shapes_with_gates(r)
+            } else if config.fence_pruning {
                 let mut flat = Vec::new();
                 for fence in &pruned_fences(r) {
                     fences_explored += 1;
@@ -580,19 +514,16 @@ fn synthesize_cost_sweep(
                 fences_explored += distinct_fence_count(&flat);
                 flat
             };
-            if let Some(d) = config.max_depth {
+            if let Some(d) = depth {
                 flat.retain(|shape| shape.height() <= d);
+            }
+            if depth_major {
+                fences_explored += distinct_fence_count(&flat);
             }
             flat
         };
-        let outcome = run_round(
-            spec,
-            &shapes,
-            &mut engines,
-            config.max_solutions,
-            config.max_depth,
-            &cancel,
-        )?;
+        stp_telemetry::debug!("synth: r={r}, {} shapes, {jobs} worker(s)", shapes.len());
+        let outcome = run_round(spec, &shapes, &mut engines, config.max_solutions, depth, &cancel)?;
         shapes_explored += outcome.shapes_explored;
         for chain in outcome.solutions {
             let cost = objective.chain_cost(&chain);
@@ -607,7 +538,7 @@ fn synthesize_cost_sweep(
         }
     }
     if best.is_empty() {
-        return Err(SynthesisError::GateLimitExceeded { max_gates: config.max_gates });
+        return Err(exhausted);
     }
     best.truncate(config.max_solutions);
     stp_telemetry::counter!("synth.solutions").add(best.len() as u64);
@@ -621,70 +552,44 @@ fn synthesize_cost_sweep(
     })
 }
 
-fn synthesize_min_depth(
-    spec: &TruthTable,
+/// `(gate count, depth bound)` search rounds, in order.
+type Rounds = Box<dyn Iterator<Item = (usize, Option<usize>)>>;
+
+/// The rounds an objective searches and the error to report when all
+/// of them come up empty. Paper step (i): a function of k support
+/// variables needs at least k − 1 binary gates, so every order starts
+/// there.
+fn round_order(
+    objective: &dyn CostObjective,
     config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthesisError> {
-    if let Some(chain) = trivial_chain(spec) {
-        stp_telemetry::counter!("synth.trivial_hits").inc();
-        return Ok(SynthesisResult {
-            chains: vec![chain],
-            gate_count: 0,
-            shapes_explored: 0,
-            fences_explored: 0,
-            factor_nodes: 0,
-        });
+    support: usize,
+) -> (Rounds, SynthesisError) {
+    let min_gates = support.saturating_sub(1).max(1);
+    let max_gates = config.max_gates;
+    let gate_limit = SynthesisError::GateLimitExceeded { max_gates };
+    if !objective.depth_major() {
+        let max_depth = config.max_depth;
+        return (Box::new((min_gates..=max_gates).map(move |r| (r, max_depth))), gate_limit);
     }
-    let support = spec.support();
-    let min_gates = support.len().saturating_sub(1).max(1);
     // Depth lower bound: a binary tree of depth d covers ≤ 2^d leaves.
-    let min_depth = support.len().next_power_of_two().trailing_zeros() as usize;
-    let jobs = parallel::resolve_jobs(config.jobs);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let mut engines = build_engines(config, jobs, &cancel);
-    let mut shapes_explored = 0usize;
-    let mut fences_explored = 0usize;
-    // The depth budget is its own bound, no longer conflated with the
-    // gate budget. The derived ceiling `max_gates.max(min_depth)` stays
-    // sound in both directions: a chain's depth never exceeds its gate
-    // count, so sweeping past it can only re-explore rounds the gate
-    // budget already exhausted. An explicit `max_depth` below the
-    // ceiling truncates the sweep (and names itself in the error); one
-    // above it is vacuous and clamps down.
-    let derived = config.max_gates.max(min_depth);
+    let min_depth = support.next_power_of_two().trailing_zeros() as usize;
+    // A chain's depth never exceeds its gate count, so depths past
+    // `max_gates.max(min_depth)` only re-explore exhausted rounds. An
+    // explicit `max_depth` below that ceiling truncates the sweep (and
+    // names itself in the error); one above it clamps down.
+    let derived = max_gates.max(min_depth);
     let sweep_cap = config.max_depth.map_or(derived, |d| d.min(derived));
-    for depth in min_depth.max(1)..=sweep_cap {
+    let rounds = (min_depth.max(1)..=sweep_cap).flat_map(move |d| {
         // A depth-d binary tree has at most 2^d − 1 gates; larger gate
         // counts cannot appear at this depth.
-        let r_cap = ((1usize << depth.min(24)) - 1).min(config.max_gates);
-        for r in min_gates..=r_cap {
-            let _round = stp_telemetry::span!("synth.round.r{}", r);
-            stp_telemetry::counter!("synth.rounds").inc();
-            let shapes: Vec<TreeShape> =
-                shapes_with_gates(r).into_iter().filter(|shape| shape.height() <= depth).collect();
-            fences_explored += distinct_fence_count(&shapes);
-            let outcome =
-                run_round(spec, &shapes, &mut engines, config.max_solutions, Some(depth), &cancel)?;
-            shapes_explored += outcome.shapes_explored;
-            if !outcome.solutions.is_empty() {
-                return Ok(SynthesisResult {
-                    chains: outcome.solutions,
-                    gate_count: r,
-                    shapes_explored,
-                    fences_explored,
-                    factor_nodes: engines.iter().map(Factorizer::nodes_explored).sum(),
-                });
-            }
-        }
-    }
-    // An explicit depth budget that truncated the sweep is its own
-    // failure mode; otherwise the gate budget was the binding limit.
-    match config.max_depth {
-        Some(max_depth) if max_depth < derived => {
-            Err(SynthesisError::DepthLimitExceeded { max_depth })
-        }
-        _ => Err(SynthesisError::GateLimitExceeded { max_gates: config.max_gates }),
-    }
+        let r_cap = ((1usize << d.min(24)) - 1).min(max_gates);
+        (min_gates..=r_cap).map(move |r| (r, Some(d)))
+    });
+    let exhausted = match config.max_depth {
+        Some(max_depth) if max_depth < derived => SynthesisError::DepthLimitExceeded { max_depth },
+        _ => gate_limit,
+    };
+    (Box::new(rounds), exhausted)
 }
 
 /// A multi-output specification: `k` output truth tables over one
@@ -1367,7 +1272,7 @@ mod tests {
 
     #[test]
     fn min_depth_reports_real_fence_count() {
-        // Regression: `synthesize_min_depth` used to hard-code
+        // Regression: the depth-major search once reported
         // `fences_explored: 0` even though it examines whole shape
         // families.
         let spec = TruthTable::from_hex(4, "8ff8").unwrap();
@@ -1444,6 +1349,23 @@ mod tests {
         let seq_chains: Vec<String> = seq.chains.iter().map(|c| format!("{c}")).collect();
         let par_chains: Vec<String> = par.chains.iter().map(|c| format!("{c}")).collect();
         assert_eq!(seq_chains, par_chains);
+    }
+
+    #[test]
+    fn depth_objective_counts_its_solutions() {
+        // Every objective runs the same sweep, so the depth-major order
+        // reports `synth.solutions` like the gate-count order does.
+        let spec = TruthTable::from_hex(4, "6996").unwrap();
+        let scope = stp_telemetry::CounterScope::enter();
+        let result = synthesize_with_objective(
+            &spec,
+            &DepthThenGatesObjective,
+            &SynthesisConfig { jobs: 1, ..SynthesisConfig::default() },
+        )
+        .unwrap();
+        let counters = scope.finish();
+        assert!(!result.chains.is_empty());
+        assert_eq!(counters.get("synth.solutions"), Some(&(result.chains.len() as u64)));
     }
 
     #[test]

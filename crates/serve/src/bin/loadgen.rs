@@ -33,6 +33,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stp_serve::loadgen::{request_once, run, LoadgenConfig, RunStats};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 use stp_telemetry::Json;
 
 fn usage() -> ExitCode {
@@ -42,27 +43,6 @@ fn usage() -> ExitCode {
          [--malformed <n>] [--oversized <n>] [--oversized-bytes <n>] [--out <path>]"
     );
     ExitCode::FAILURE
-}
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from load-run failures (exit 1).
-fn flag_error(message: String) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::from(2)
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<&String>,
-    expects: &str,
-) -> Result<T, ExitCode> {
-    let Some(raw) = value else {
-        return Err(flag_error(format!("{flag} expects {expects}")));
-    };
-    raw.parse().map_err(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
 }
 
 /// One measurement row as a JSON object.
@@ -101,14 +81,14 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--addr" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error("--addr expects <host:port>".to_string());
+                    flag_error("--addr expects <host:port>".to_string());
                 };
                 base.addr = value.clone();
                 i += 1;
             }
             "--connections" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error(
+                    flag_error(
                         "--connections expects a comma-separated list, e.g. 1,4,16".to_string(),
                     );
                 };
@@ -117,37 +97,30 @@ fn main() -> ExitCode {
                     match part.trim().parse::<usize>() {
                         Ok(n) if n >= 1 => list.push(n),
                         _ => {
-                            return flag_error(format!(
+                            flag_error(format!(
                                 "--connections expects positive integers, got `{part}` in `{value}`"
                             ));
                         }
                     }
                 }
                 if list.is_empty() {
-                    return flag_error("--connections expects at least one entry".to_string());
+                    flag_error("--connections expects at least one entry".to_string());
                 }
                 connections_list = list;
                 i += 1;
             }
             "--requests" => {
                 base.requests_per_conn =
-                    match parse_flag_value("--requests", args.get(i + 1), "a request count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                    parse_flag_value("--requests", args.get(i + 1), "a request count");
                 if base.requests_per_conn == 0 {
-                    return flag_error("--requests expects a count >= 1, got `0`".into());
+                    flag_error("--requests expects a count >= 1, got `0`".into());
                 }
                 i += 1;
             }
             "--rate" => {
-                base.rate_per_conn =
-                    match parse_flag_value("--rate", args.get(i + 1), "requests/second") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                base.rate_per_conn = parse_flag_value("--rate", args.get(i + 1), "requests/second");
                 if !(base.rate_per_conn.is_finite() && base.rate_per_conn > 0.0) {
-                    return flag_error(format!(
+                    flag_error(format!(
                         "--rate expects a finite rate > 0, got `{}`",
                         base.rate_per_conn
                     ));
@@ -155,34 +128,21 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "--seed" => {
-                base.seed = match parse_flag_value("--seed", args.get(i + 1), "an integer seed") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                base.seed = parse_flag_value("--seed", args.get(i + 1), "an integer seed");
                 i += 1;
             }
             "--arity" => {
-                base.arity = match parse_flag_value("--arity", args.get(i + 1), "an arity (2..=8)")
-                {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                base.arity = parse_flag_value("--arity", args.get(i + 1), "an arity (2..=8)");
                 if !(2..=8).contains(&base.arity) {
-                    return flag_error(format!(
-                        "--arity expects an arity in 2..=8, got `{}`",
-                        base.arity
-                    ));
+                    flag_error(format!("--arity expects an arity in 2..=8, got `{}`", base.arity));
                 }
                 i += 1;
             }
             "--classes" => {
-                base.classes = match parse_flag_value("--classes", args.get(i + 1), "a pool size") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                base.classes = parse_flag_value("--classes", args.get(i + 1), "a pool size");
                 let universe = 1usize << (1usize << base.arity).min(20);
                 if base.classes == 0 || base.classes > universe / 2 {
-                    return flag_error(format!(
+                    flag_error(format!(
                         "--classes expects 1..={} for arity {}, got `{}`",
                         universe / 2,
                         base.arity,
@@ -192,59 +152,44 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "--timeout-ms" => {
-                base.timeout_ms =
-                    match parse_flag_value("--timeout-ms", args.get(i + 1), "milliseconds") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                base.timeout_ms = parse_flag_value("--timeout-ms", args.get(i + 1), "milliseconds");
                 if base.timeout_ms == 0 {
-                    return flag_error("--timeout-ms expects milliseconds >= 1, got `0`".into());
+                    flag_error("--timeout-ms expects milliseconds >= 1, got `0`".into());
                 }
                 i += 1;
             }
             "--malformed" => {
                 base.malformed_probes =
-                    match parse_flag_value("--malformed", args.get(i + 1), "a probe count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                    parse_flag_value("--malformed", args.get(i + 1), "a probe count");
                 i += 1;
             }
             "--oversized" => {
                 base.oversized_probes =
-                    match parse_flag_value("--oversized", args.get(i + 1), "a probe count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                    parse_flag_value("--oversized", args.get(i + 1), "a probe count");
                 i += 1;
             }
             "--oversized-bytes" => {
                 base.oversized_bytes =
-                    match parse_flag_value("--oversized-bytes", args.get(i + 1), "a byte count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                    parse_flag_value("--oversized-bytes", args.get(i + 1), "a byte count");
                 if base.oversized_bytes == 0 {
-                    return flag_error(
-                        "--oversized-bytes expects a byte count >= 1, got `0`".into(),
-                    );
+                    flag_error("--oversized-bytes expects a byte count >= 1, got `0`".into());
                 }
                 i += 1;
             }
             "--out" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error("--out expects a path".to_string());
+                    flag_error("--out expects a path".to_string());
                 };
                 out = Some(value.clone());
                 i += 1;
             }
             "--help" | "-h" => return usage(),
-            other => return flag_error(format!("unknown option `{other}`")),
+            other => flag_error(format!("unknown option `{other}`")),
         }
         i += 1;
     }
     if base.addr.is_empty() {
-        return flag_error("--addr is required".to_string());
+        flag_error("--addr is required".to_string());
     }
 
     let mut rows = Vec::new();

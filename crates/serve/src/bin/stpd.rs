@@ -36,6 +36,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stp_serve::server::{ServeConfig, Server};
+use stp_telemetry::cli::{flag_error, parse_flag_value};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -47,35 +48,11 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from runtime failures (exit 1).
-fn flag_error(message: String) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::from(2)
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<&String>,
-    expects: &str,
-) -> Result<T, ExitCode> {
-    let Some(raw) = value else {
-        return Err(flag_error(format!("{flag} expects {expects}")));
-    };
-    raw.parse().map_err(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
-}
-
 fn main() -> ExitCode {
     stp_telemetry::init_from_env();
     // A malformed STP_JOBS is a usage error, diagnosed before any other
     // argument handling — not a silent fall-back to sequential.
-    let env_jobs = match stp_synth::jobs_from_env_checked() {
-        Ok(jobs) => jobs,
-        Err(message) => return flag_error(message),
-    };
+    let env_jobs = stp_synth::jobs_from_env_checked().unwrap_or_else(|e| flag_error(e));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ServeConfig { jobs: env_jobs, ..ServeConfig::default() };
     let mut addr = "127.0.0.1:0".to_string();
@@ -85,87 +62,62 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--addr" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error("--addr expects <host:port>".to_string());
+                    flag_error("--addr expects <host:port>".to_string());
                 };
                 addr = value.clone();
                 i += 1;
             }
             "--store" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error("--store expects a path".to_string());
+                    flag_error("--store expects a path".to_string());
                 };
                 config.store_path = Some(value.into());
                 i += 1;
             }
             "--port-file" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error("--port-file expects a path".to_string());
+                    flag_error("--port-file expects a path".to_string());
                 };
                 port_file = Some(value.clone());
                 i += 1;
             }
             "--capacity" => {
-                config.capacity =
-                    match parse_flag_value("--capacity", args.get(i + 1), "a slot count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                config.capacity = parse_flag_value("--capacity", args.get(i + 1), "a slot count");
                 if config.capacity == 0 {
-                    return flag_error("--capacity expects a slot count >= 1, got `0`".into());
+                    flag_error("--capacity expects a slot count >= 1, got `0`".into());
                 }
                 i += 1;
             }
             "--jobs" => {
-                config.jobs = match parse_flag_value(
-                    "--jobs",
-                    args.get(i + 1),
-                    "a thread count (0 = one per CPU)",
-                ) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                config.jobs =
+                    parse_flag_value("--jobs", args.get(i + 1), "a thread count (0 = one per CPU)");
                 i += 1;
             }
             "--max-gates" => {
-                config.max_gates =
-                    match parse_flag_value("--max-gates", args.get(i + 1), "a gate count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                config.max_gates = parse_flag_value("--max-gates", args.get(i + 1), "a gate count");
                 if config.max_gates == 0 {
-                    return flag_error("--max-gates expects a gate count >= 1, got `0`".into());
+                    flag_error("--max-gates expects a gate count >= 1, got `0`".into());
                 }
                 i += 1;
             }
             "--max-frame-bytes" => {
                 config.max_frame_bytes =
-                    match parse_flag_value("--max-frame-bytes", args.get(i + 1), "a byte count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                    parse_flag_value("--max-frame-bytes", args.get(i + 1), "a byte count");
                 if config.max_frame_bytes == 0 {
-                    return flag_error(
-                        "--max-frame-bytes expects a byte count >= 1, got `0`".into(),
-                    );
+                    flag_error("--max-frame-bytes expects a byte count >= 1, got `0`".into());
                 }
                 i += 1;
             }
             "--retry-after-ms" => {
                 config.retry_after_ms =
-                    match parse_flag_value("--retry-after-ms", args.get(i + 1), "milliseconds") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                    parse_flag_value("--retry-after-ms", args.get(i + 1), "milliseconds");
                 i += 1;
             }
             flag @ ("--timeout-ms" | "--drain-timeout-ms" | "--idle-timeout-ms"
             | "--frame-timeout-ms") => {
-                let ms: u64 = match parse_flag_value(flag, args.get(i + 1), "milliseconds") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                let ms: u64 = parse_flag_value(flag, args.get(i + 1), "milliseconds");
                 if ms == 0 {
-                    return flag_error(format!("{flag} expects milliseconds >= 1, got `0`"));
+                    flag_error(format!("{flag} expects milliseconds >= 1, got `0`"));
                 }
                 let value = Duration::from_millis(ms);
                 match flag {
@@ -179,12 +131,12 @@ fn main() -> ExitCode {
             }
             "--log" => {
                 let Some(value) = args.get(i + 1) else {
-                    return flag_error("--log expects a level".to_string());
+                    flag_error("--log expects a level".to_string());
                 };
                 match stp_telemetry::log::Level::parse(value) {
                     Some(level) => stp_telemetry::set_level(level),
                     None => {
-                        return flag_error(format!(
+                        flag_error(format!(
                             "--log expects off|error|warn|info|debug|trace, got `{value}`"
                         ));
                     }
@@ -192,7 +144,7 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "--help" | "-h" => return usage(),
-            other => return flag_error(format!("unknown option `{other}`")),
+            other => flag_error(format!("unknown option `{other}`")),
         }
         i += 1;
     }

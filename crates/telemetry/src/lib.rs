@@ -32,6 +32,8 @@
 //!   ([`Metrics::render_prometheus`]), and the feature-gated
 //!   `alloc-profile` counting allocator attributes bytes/allocations
 //!   to the innermost open span.
+//! - [`cli`] — the flag-parsing helpers and the run epilogue the
+//!   workspace binaries share.
 //!
 //! Instrumentation cost when idle is a relaxed atomic load per
 //! `enabled()` check and a relaxed add per counter bump; the STP matrix
@@ -41,6 +43,7 @@
 
 #[cfg(feature = "alloc-profile")]
 pub mod alloc;
+pub mod cli;
 pub mod expose;
 pub mod json;
 pub mod log;

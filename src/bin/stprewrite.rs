@@ -32,7 +32,8 @@ use std::time::Instant;
 use stp_repro::network::{rewrite, Network, RewriteConfig, SynthesisCache};
 use stp_repro::store::Store;
 use stp_repro::synth::{warm_npn4, SynthesisConfig};
-use stp_telemetry::{Json, RunReport};
+use stp_telemetry::cli::{finish_run, flag_error, parse_flag_value};
+use stp_telemetry::Json;
 
 // With --features alloc-profile, heap traffic is attributed to the
 // innermost open profile span (an extra bytes column under --profile).
@@ -48,69 +49,13 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from rewrite failures (exit 1).
-fn flag_error(message: String) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::from(2)
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<&String>,
-    expects: &str,
-) -> Result<T, ExitCode> {
-    let Some(raw) = value else {
-        return Err(flag_error(format!("{flag} expects {expects}")));
-    };
-    raw.parse().map_err(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
-}
-
-/// Emits the RunReport (when requested) and flushes the trace and
-/// profile sinks; under `--profile` the aggregated span tree is
-/// printed to stderr and embedded in the report.
-fn finish(
-    stats: bool,
-    args: &[String],
-    outcome: &str,
-    start: Instant,
-    extra: Vec<(String, Json)>,
-    folded: Option<&str>,
-) {
-    let profile = stp_telemetry::profile::finish(folded.map(std::path::Path::new));
-    if let Some(tree) = &profile {
-        eprint!("{}", tree.render_text());
-    }
-    if stats {
-        let snapshot = stp_telemetry::metrics_global().snapshot();
-        let mut report = RunReport::from_snapshot(
-            "stprewrite",
-            args,
-            outcome,
-            start.elapsed().as_secs_f64(),
-            &snapshot,
-        );
-        for (key, value) in extra {
-            report = report.with_extra(&key, value);
-        }
-        if let Some(tree) = profile {
-            report = report.with_profile(tree);
-        }
-        println!("{}", report.to_json_string());
-    }
-    stp_telemetry::trace::finish();
-}
-
 fn main() -> ExitCode {
     stp_telemetry::init_from_env();
     // A malformed STP_JOBS is a usage error, diagnosed before any other
     // argument handling — not a silent fall-back to sequential (the
     // value feeds `RewriteConfig::default()`).
     if let Err(message) = stp_repro::synth::jobs_from_env_checked() {
-        return flag_error(message);
+        flag_error(message);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -131,7 +76,7 @@ fn main() -> ExitCode {
             "--profile" => stp_telemetry::profile::set_enabled(true),
             "--profile-folded" => {
                 let Some(path) = it.next() else {
-                    return flag_error("--profile-folded expects a path".to_string());
+                    flag_error("--profile-folded expects a path".to_string());
                 };
                 folded = Some(path.clone());
                 stp_telemetry::profile::set_enabled(true);
@@ -143,18 +88,9 @@ fn main() -> ExitCode {
                 };
                 store_path = Some(path.clone());
             }
-            "--passes" => {
-                config.max_passes = match parse_flag_value(a, it.next(), "a pass count") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-            }
+            "--passes" => config.max_passes = parse_flag_value(a, it.next(), "a pass count"),
             "--jobs" => {
-                config.jobs =
-                    match parse_flag_value(a, it.next(), "a thread count (0 = one per CPU)") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
+                config.jobs = parse_flag_value(a, it.next(), "a thread count (0 = one per CPU)")
             }
             "--stats" => stats = true,
             "--log" => {
@@ -192,7 +128,8 @@ fn main() -> ExitCode {
         Ok(n) => n,
         Err(e) => {
             eprintln!("error parsing {input}: {e}");
-            finish(
+            finish_run(
+                "stprewrite",
                 stats,
                 &args,
                 &format!("parse error: {e}"),
@@ -218,7 +155,8 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("error loading store: {e}");
-                finish(
+                finish_run(
+                    "stprewrite",
                     stats,
                     &args,
                     &format!("store error: {e}"),
@@ -240,7 +178,8 @@ fn main() -> ExitCode {
             ),
             Err(e) => {
                 eprintln!("error warming store: {e}");
-                finish(
+                finish_run(
+                    "stprewrite",
                     stats,
                     &args,
                     &format!("store error: {e}"),
@@ -259,7 +198,15 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rewriting failed: {e}");
-            finish(stats, &args, &format!("error: {e}"), start, Vec::new(), folded.as_deref());
+            finish_run(
+                "stprewrite",
+                stats,
+                &args,
+                &format!("error: {e}"),
+                start,
+                Vec::new(),
+                folded.as_deref(),
+            );
             return ExitCode::FAILURE;
         }
     };
@@ -268,7 +215,8 @@ fn main() -> ExitCode {
             Ok(after) if after == before => eprintln!("equivalence: verified exhaustively"),
             Ok(_) => {
                 eprintln!("equivalence check FAILED — refusing to write output");
-                finish(
+                finish_run(
+                    "stprewrite",
                     stats,
                     &args,
                     "equivalence check failed",
@@ -312,7 +260,8 @@ fn main() -> ExitCode {
         }
         None => print!("{blif}"),
     }
-    finish(
+    finish_run(
+        "stprewrite",
         stats,
         &args,
         "ok",

@@ -51,7 +51,8 @@ use stp_repro::synth::{
     synthesize_with_objective, warm_npn4, MultiSpec, SynthesisConfig,
 };
 use stp_repro::tt::TruthTable;
-use stp_telemetry::{Json, RunReport};
+use stp_telemetry::cli::{finish_run, flag_error, parse_flag_value};
+use stp_telemetry::Json;
 
 // With --features alloc-profile, heap traffic is attributed to the
 // innermost open profile span (an extra bytes column under --profile).
@@ -72,36 +73,15 @@ fn usage() -> ExitCode {
 
 /// Infers the input arity of a bare hex truth table: `d` hex digits
 /// hold `4·d` bits, which must be a power of two.
-fn infer_num_vars(raw: &str, hex: &str) -> Result<usize, ExitCode> {
+fn infer_num_vars(raw: &str, hex: &str) -> usize {
     let bits = hex.len().saturating_mul(4);
     if hex.is_empty() || !bits.is_power_of_two() {
-        return Err(flag_error(format!(
+        flag_error(format!(
             "truth table `{raw}` has {} hex digit(s); cannot infer its arity (pass --vars <n>)",
             hex.len()
-        )));
+        ));
     }
-    Ok(bits.trailing_zeros() as usize)
-}
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from synthesis failures (exit 1).
-fn flag_error(message: String) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::from(2)
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<&String>,
-    expects: &str,
-) -> Result<T, ExitCode> {
-    let Some(raw) = value else {
-        return Err(flag_error(format!("{flag} expects {expects}")));
-    };
-    raw.parse().map_err(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
+    bits.trailing_zeros() as usize
 }
 
 /// Opens the store rooted at `path` — snapshot plus crash journal (see
@@ -140,50 +120,11 @@ fn save_store(store: &Store, path: Option<&str>) -> bool {
     }
 }
 
-/// Emits the RunReport (when requested) and flushes the trace and
-/// profile sinks. Called on every exit path so `--stats` reports
-/// failures too; under `--profile` the aggregated span tree is printed
-/// to stderr and embedded in the report.
-fn finish(
-    stats: bool,
-    args: &[String],
-    outcome: &str,
-    start: Instant,
-    extra: Vec<(String, Json)>,
-    folded: Option<&str>,
-) {
-    let profile = stp_telemetry::profile::finish(folded.map(std::path::Path::new));
-    if let Some(tree) = &profile {
-        eprint!("{}", tree.render_text());
-    }
-    if stats {
-        let snapshot = stp_telemetry::metrics_global().snapshot();
-        let mut report = RunReport::from_snapshot(
-            "stpsynth",
-            args,
-            outcome,
-            start.elapsed().as_secs_f64(),
-            &snapshot,
-        );
-        for (key, value) in extra {
-            report = report.with_extra(&key, value);
-        }
-        if let Some(tree) = profile {
-            report = report.with_profile(tree);
-        }
-        println!("{}", report.to_json_string());
-    }
-    stp_telemetry::trace::finish();
-}
-
 fn main() -> ExitCode {
     stp_telemetry::init_from_env();
     // A malformed STP_JOBS is a usage error, diagnosed before any other
     // argument handling — not a silent fall-back to sequential.
-    let env_jobs = match stp_repro::synth::jobs_from_env_checked() {
-        Ok(jobs) => jobs,
-        Err(message) => return flag_error(message),
-    };
+    let env_jobs = stp_repro::synth::jobs_from_env_checked().unwrap_or_else(|e| flag_error(e));
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         return usage();
@@ -205,17 +146,10 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--all" => all = true,
-            "--vars" => {
-                vars = match parse_flag_value(a, it.next(), "an input count") {
-                    Ok(v) => Some(v),
-                    Err(code) => return code,
-                };
-            }
+            "--vars" => vars = Some(parse_flag_value(a, it.next(), "an input count")),
             "--objective" => {
                 let Some(spec) = it.next() else {
-                    return flag_error(
-                        "--objective expects gates|depth|profile:<weights>".to_string(),
-                    );
+                    flag_error("--objective expects gates|depth|profile:<weights>".to_string());
                 };
                 objective_spec = spec.clone();
             }
@@ -226,7 +160,7 @@ fn main() -> ExitCode {
             "--profile" => stp_telemetry::profile::set_enabled(true),
             "--profile-folded" => {
                 let Some(path) = it.next() else {
-                    return flag_error("--profile-folded expects a path".to_string());
+                    flag_error("--profile-folded expects a path".to_string());
                 };
                 folded = Some(path.clone());
                 stp_telemetry::profile::set_enabled(true);
@@ -240,22 +174,12 @@ fn main() -> ExitCode {
             }
             "--engine" => {
                 let Some(name) = it.next() else {
-                    return flag_error("--engine expects stp|stp-npn|bms|fen|abc".to_string());
+                    flag_error("--engine expects stp|stp-npn|bms|fen|abc".to_string());
                 };
                 engine = name.clone();
             }
-            "--timeout" => {
-                timeout = match parse_flag_value(a, it.next(), "a number of seconds") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-            }
-            "--jobs" => {
-                jobs = match parse_flag_value(a, it.next(), "a thread count (0 = one per CPU)") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-            }
+            "--timeout" => timeout = parse_flag_value(a, it.next(), "a number of seconds"),
+            "--jobs" => jobs = parse_flag_value(a, it.next(), "a thread count (0 = one per CPU)"),
             "--log" => {
                 let Some(level) = it.next().and_then(|v| stp_telemetry::Level::parse(v)) else {
                     eprintln!("--log expects off|error|warn|info|debug|trace");
@@ -302,16 +226,10 @@ fn main() -> ExitCode {
         let mut specs = Vec::with_capacity(positionals.len());
         for raw in &positionals {
             let hex = raw.trim_start_matches("0x");
-            let num_vars = match vars {
-                Some(n) => n,
-                None => match infer_num_vars(raw, hex) {
-                    Ok(n) => n,
-                    Err(code) => return code,
-                },
-            };
+            let num_vars = vars.unwrap_or_else(|| infer_num_vars(raw, hex));
             match TruthTable::from_hex(num_vars, hex) {
                 Ok(tt) => specs.push(tt),
-                Err(e) => return flag_error(format!("truth table `{raw}`: {e}")),
+                Err(e) => flag_error(format!("truth table `{raw}`: {e}")),
             }
         }
         specs
@@ -319,26 +237,24 @@ fn main() -> ExitCode {
 
     let objective = match stp_repro::synth::objective_from_spec(&objective_spec) {
         Ok(objective) => objective,
-        Err(message) => return flag_error(format!("--objective: {message}")),
+        Err(message) => flag_error(format!("--objective: {message}")),
     };
     if !objective.is_gate_count() {
         // The store and the baselines cache/report gate-count optima
         // only; other objectives run the direct STP engine.
         if engine != "stp" {
-            return flag_error(format!(
+            flag_error(format!(
                 "--objective {objective_spec} requires --engine stp (got {engine})"
             ));
         }
         if store_path.is_some() || warm {
-            return flag_error(format!(
+            flag_error(format!(
                 "--objective {objective_spec} cannot use a store (it caches gate-count optima)"
             ));
         }
     }
     if specs.len() > 1 && matches!(engine.as_str(), "bms" | "fen" | "abc") {
-        return flag_error(format!(
-            "--engine {engine} synthesizes a single output; pass one truth table"
-        ));
+        flag_error(format!("--engine {engine} synthesizes a single output; pass one truth table"));
     }
     let start = Instant::now();
     let deadline = Some(start + Duration::from_secs_f64(timeout));
@@ -380,7 +296,7 @@ fn main() -> ExitCode {
         }
         let multi = match MultiSpec::new(specs.clone()) {
             Ok(multi) => multi,
-            Err(e) => return flag_error(format!("truth tables: {e}")),
+            Err(e) => flag_error(format!("truth tables: {e}")),
         };
         let config = SynthesisConfig { deadline, jobs, ..SynthesisConfig::default() };
         let result = if store.is_some() || engine == "stp-npn" {
@@ -423,7 +339,15 @@ fn main() -> ExitCode {
             Ok(pair) => pair,
             Err(e) => {
                 eprintln!("error: {e}");
-                finish(stats, &args, &format!("error: {e}"), start, Vec::new(), folded.as_deref());
+                finish_run(
+                    "stpsynth",
+                    stats,
+                    &args,
+                    &format!("error: {e}"),
+                    start,
+                    Vec::new(),
+                    folded.as_deref(),
+                );
                 return ExitCode::FAILURE;
             }
         }
@@ -451,7 +375,8 @@ fn main() -> ExitCode {
                     }
                     Err(e) => {
                         eprintln!("error: {e}");
-                        finish(
+                        finish_run(
+                            "stpsynth",
                             stats,
                             &args,
                             &format!("error: {e}"),
@@ -482,7 +407,8 @@ fn main() -> ExitCode {
                     }
                     Err(e) => {
                         eprintln!("error: {e}");
-                        finish(
+                        finish_run(
+                            "stpsynth",
                             stats,
                             &args,
                             &format!("error: {e}"),
@@ -524,7 +450,8 @@ fn main() -> ExitCode {
             println!("{}", chain.to_dot(&format!("sol{}", i + 1)));
         }
     }
-    finish(
+    finish_run(
+        "stpsynth",
         stats,
         &args,
         "ok",
